@@ -165,20 +165,30 @@ pub struct AcousticModel {
 
 impl AcousticModel {
     /// Trains a model on `features` with per-frame `labels` (phoneme class
-    /// indices).
+    /// indices). The rows are standardised in place, so training holds
+    /// one feature matrix rather than a second, scaled copy.
     ///
     /// # Panics
     ///
     /// Panics if the data is empty, ragged, or labels are out of range.
-    pub fn train(features: &FeatureMatrix, labels: &[usize], cfg: &TrainConfig) -> AcousticModel {
+    pub fn train(
+        mut features: FeatureMatrix,
+        labels: &[usize],
+        cfg: &TrainConfig,
+    ) -> AcousticModel {
         assert_eq!(features.n_frames(), labels.len(), "feature/label count mismatch");
         assert!(!features.is_empty(), "empty training set");
         assert!(labels.iter().all(|&l| l < N_CLASSES), "label out of range");
         assert!(cfg.hidden > 0, "hidden width must be positive");
         let dim = features.dim();
         let h = cfg.hidden;
-        let scaler = FeatureScaler::fit(features);
-        let scaled = features.map_rows(dim, |r, out| scaler.transform_into(r, out));
+        let scaler = FeatureScaler::fit(&features);
+        let mut raw = vec![0.0; dim];
+        for i in 0..features.n_frames() {
+            raw.copy_from_slice(features.row(i));
+            scaler.transform_into(&raw, features.row_mut(i));
+        }
+        let scaled = features;
 
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // He-style initialisation.
@@ -769,7 +779,7 @@ mod tests {
     #[test]
     fn learns_separable_classes() {
         let (feats, labels) = toy_data(60, 3);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let acc = am.frame_accuracy(&feats, &labels);
         assert!(acc > 0.98, "train accuracy {acc}");
         let (test_f, test_l) = toy_data(20, 99);
@@ -780,17 +790,17 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let (feats, labels) = toy_data(20, 3);
-        let a = AcousticModel::train(&feats, &labels, &TrainConfig::default());
-        let b = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let a = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
+        let b = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         assert_eq!(a.logits(feats.row(0)), b.logits(feats.row(0)));
     }
 
     #[test]
     fn different_seeds_give_different_models() {
         let (feats, labels) = toy_data(20, 3);
-        let a = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let a = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let b = AcousticModel::train(
-            &feats,
+            feats.clone(),
             &labels,
             &TrainConfig { seed: 77, ..TrainConfig::default() },
         );
@@ -814,7 +824,7 @@ mod tests {
     #[test]
     fn backward_matches_finite_difference() {
         let (feats, labels) = toy_data(20, 3);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let x = feats.row(0).to_vec();
         let mut d_logits = vec![0.0; N_CLASSES];
         d_logits[0] = 1.0;
@@ -841,7 +851,7 @@ mod tests {
     fn hidden_width_configurable() {
         let (feats, labels) = toy_data(10, 3);
         let am = AcousticModel::train(
-            &feats,
+            feats.clone(),
             &labels,
             &TrainConfig { hidden: 7, ..TrainConfig::default() },
         );
@@ -852,7 +862,7 @@ mod tests {
     #[test]
     fn logit_matrix_scratch_path_matches_per_row() {
         let (feats, labels) = toy_data(10, 3);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let m = am.logit_matrix(&feats);
         assert_eq!(m.n_frames(), feats.n_frames());
         assert_eq!(m.dim(), N_CLASSES);
@@ -870,7 +880,7 @@ mod tests {
     fn ragged_input_rejected() {
         let am = {
             let (feats, labels) = toy_data(5, 3);
-            AcousticModel::train(&feats, &labels, &TrainConfig::default())
+            AcousticModel::train(feats.clone(), &labels, &TrainConfig::default())
         };
         am.logits(&[1.0, 2.0]);
     }
@@ -878,7 +888,7 @@ mod tests {
     #[test]
     fn persisted_model_reproduces_logits_bit_exactly() {
         let (feats, labels) = toy_data(20, 3);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let mut bytes = Vec::new();
         am.write_to(&mut bytes).unwrap();
         let back = AcousticModel::read_from(&bytes[..]).unwrap();
@@ -892,7 +902,7 @@ mod tests {
     #[test]
     fn inconsistent_model_shapes_are_refused() {
         let (feats, labels) = toy_data(10, 3);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let mut enc = Encoder::new();
         am.encode(&mut enc);
         // Re-frame the valid payload with a lying hidden width: the checksum
@@ -916,7 +926,7 @@ mod tests {
     #[test]
     fn quantized_model_agrees_with_f64_on_most_frames() {
         let (feats, labels) = toy_data(60, 3);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let qam = QuantizedAcousticModel::quantize(&am, &feats);
         assert_eq!(qam.dim(), am.dim());
         assert_eq!(qam.hidden(), am.hidden());
@@ -934,7 +944,7 @@ mod tests {
     #[test]
     fn quantized_batch_path_matches_per_row() {
         let (feats, labels) = toy_data(15, 5);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let qam = QuantizedAcousticModel::quantize(&am, &feats);
         let mut scratch = AmScratch::default();
         let mut batch = FeatureMatrix::default();
@@ -947,7 +957,7 @@ mod tests {
     #[test]
     fn quantized_model_codec_round_trips_bit_exactly() {
         let (feats, labels) = toy_data(15, 7);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let qam = QuantizedAcousticModel::quantize(&am, &feats);
         let mut enc = Encoder::new();
         qam.encode(&mut enc);
@@ -962,7 +972,7 @@ mod tests {
     #[test]
     fn quantized_model_decode_refuses_inconsistent_shapes() {
         let (feats, labels) = toy_data(10, 7);
-        let am = AcousticModel::train(&feats, &labels, &TrainConfig::default());
+        let am = AcousticModel::train(feats.clone(), &labels, &TrainConfig::default());
         let qam = QuantizedAcousticModel::quantize(&am, &feats);
         let mut enc = Encoder::new();
         qam.encode(&mut enc);

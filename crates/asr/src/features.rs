@@ -98,9 +98,10 @@ impl FeatureFrontEnd {
         row * self.subsample * cfg.hop + cfg.frame_len / 2
     }
 
-    /// Extracts stacked features for `wave`.
+    /// Extracts stacked features for `wave` (no gradient cache; see
+    /// [`features_with_cache`](Self::features_with_cache) for that).
     pub fn features(&self, wave: &Waveform) -> FeatureMatrix {
-        self.features_with_cache(wave).0
+        self.features_from_samples(&wave.to_f64())
     }
 
     /// Extracts stacked features from pre-widened samples.
@@ -111,9 +112,8 @@ impl FeatureFrontEnd {
         out
     }
 
-    /// Extracts stacked features into `out`, reusing `scratch` — the batch
-    /// path uses this so repeated extraction performs no steady-state
-    /// allocation (see `TrainedAsr::transcribe_batch_with`).
+    /// Extracts stacked features into `out`, reusing `scratch`, so
+    /// repeated extraction performs no steady-state allocation.
     pub fn features_into(
         &self,
         samples: &[f64],

@@ -51,4 +51,4 @@ pub use features::{FeatureFrontEnd, FrontEndConfig, FrontEndScratch, FrontEndStr
 pub use lm::BigramLm;
 pub use persist::QuantizedAsr;
 pub use profile::{AsrProfile, PrecisionVariant, MODEL_DIR_ENV};
-pub use recognizer::{Asr, AsrScratch, AsrStream, TrainedAsr};
+pub use recognizer::{Asr, AsrStream, TrainedAsr};

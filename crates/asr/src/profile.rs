@@ -205,7 +205,7 @@ impl AsrProfile {
                 labels.push(label.index());
             }
         }
-        let am = AcousticModel::train(&features, &labels, &spec.train);
+        let am = AcousticModel::train(features, &labels, &spec.train);
 
         // 2. Language model on this profile's own sentence sample, plus the
         //    assistant command phrases every deployed ASR has seen.

@@ -7,7 +7,7 @@ use mvp_phonetics::Phoneme;
 use crate::am::{AcousticModel, AmScratch, QuantizedAcousticModel};
 use crate::ctc::{ctc_loss_and_grad, RunAccumulator};
 use crate::decoder::Decoder;
-use crate::features::{FeatureFrontEnd, FrontEndScratch, FrontEndStream};
+use crate::features::{FeatureFrontEnd, FrontEndStream};
 
 /// A speech recogniser: audio in, transcription out.
 ///
@@ -133,46 +133,6 @@ impl TrainedAsr {
         out
     }
 
-    /// Transcribes a whole micro-batch. Produces exactly what
-    /// [`Asr::transcribe`] would per waveform, in order.
-    pub fn transcribe_batch(&self, waves: &[&Waveform]) -> Vec<String> {
-        self.transcribe_batch_with(waves, &mut AsrScratch::default())
-    }
-
-    /// Transcribes a micro-batch through a caller-owned scratch plan.
-    ///
-    /// Every intermediate — widened samples, MFCC workspace, stacked
-    /// features, logit matrix, acoustic-model activations — lives in
-    /// `scratch`, so a long-lived caller (mvp-serve's per-ASR workers)
-    /// performs zero steady-state allocation per batch once the buffers
-    /// have grown to the working-set size.
-    pub fn transcribe_batch_with(
-        &self,
-        waves: &[&Waveform],
-        scratch: &mut AsrScratch,
-    ) -> Vec<String> {
-        waves
-            .iter()
-            .map(|wave| {
-                if wave.is_empty() {
-                    return String::new();
-                }
-                {
-                    let _span = mvp_obs::span!("asr.features");
-                    wave.copy_to_f64(&mut scratch.samples);
-                    self.frontend.features_into(
-                        &scratch.samples,
-                        &mut scratch.frontend,
-                        &mut scratch.feats,
-                    );
-                    self.am_forward(&scratch.feats, &mut scratch.am, &mut scratch.logits);
-                }
-                let _span = mvp_obs::span!("asr.decode");
-                self.decoder.decode(&scratch.logits)
-            })
-            .collect()
-    }
-
     /// Feeds a chunk of widened samples into `stream`, advancing MFCCs,
     /// context stacking, the logit matrix and the greedy prefix decode as
     /// far as the new samples allow. Returns the number of newly decoded
@@ -180,12 +140,14 @@ impl TrainedAsr {
     ///
     /// Any chunking of a signal — including one-sample chunks — yields,
     /// after [`stream_finish`](Self::stream_finish), exactly the transcript
-    /// of [`Asr::transcribe`] on the whole signal.
+    /// of [`Asr::transcribe`] on the whole signal, which is itself one
+    /// chunk through this path. The logits come from the same batched
+    /// [`AcousticModel::logit_matrix_into`] entry point as
+    /// [`logits`](Self::logits), whose rows are bit-identical at any
+    /// batch size.
     pub fn stream_push(&self, stream: &mut AsrStream, chunk: &[f64]) -> usize {
         stream.n_samples += chunk.len();
-        stream.feats.reset(0, self.frontend.dim());
-        stream.frontend.push(&self.frontend, chunk, &mut stream.feats);
-        self.extend_with_frames(stream)
+        self.advance(stream, |front, fe, rows| front.push(fe, chunk, rows))
     }
 
     /// [`stream_push`](Self::stream_push) for raw `f32` samples, widened
@@ -200,20 +162,6 @@ impl TrainedAsr {
         n
     }
 
-    /// Advances the logit matrix and prefix decode over the stacked rows
-    /// currently staged in `stream.feats` (the rows the front end completed
-    /// in the last push). Runs the same batched
-    /// [`AcousticModel::logit_matrix_into`] entry point as the one-shot
-    /// path — its rows are bit-identical at any batch size, which is what
-    /// makes chunked and batch logits agree exactly.
-    fn extend_with_frames(&self, stream: &mut AsrStream) -> usize {
-        self.am_forward(&stream.feats, &mut stream.am, &mut stream.logits);
-        for row in stream.logits.rows() {
-            stream.runs.push_logits_row(row);
-        }
-        stream.logits.n_frames()
-    }
-
     /// The running best transcript of the frames decoded so far — the
     /// incremental detector polls this between chunks.
     pub fn stream_transcript(&self, stream: &AsrStream) -> String {
@@ -223,12 +171,34 @@ impl TrainedAsr {
     /// Flushes the trailing partial frames, returns the final transcript
     /// and resets `stream` for the next utterance.
     pub fn stream_finish(&self, stream: &mut AsrStream) -> String {
-        stream.feats.reset(0, self.frontend.dim());
-        stream.frontend.finish(&self.frontend, &mut stream.feats);
-        self.extend_with_frames(stream);
-        let text = self.decoder.decode_runs(&stream.runs);
+        self.advance(stream, |front, fe, rows| front.finish(fe, rows));
+        let text = {
+            let _span = mvp_obs::span!("asr.decode");
+            self.decoder.decode_runs(&stream.runs)
+        };
         stream.reset();
         text
+    }
+
+    /// One front-end `step` (it stages the stacked rows it completes in
+    /// `stream.feats`), then the acoustic model and the greedy prefix
+    /// decode over those rows. Returns the number of new logit frames.
+    fn advance(
+        &self,
+        stream: &mut AsrStream,
+        step: impl FnOnce(&mut FrontEndStream, &FeatureFrontEnd, &mut FeatureMatrix),
+    ) -> usize {
+        {
+            let _span = mvp_obs::span!("asr.features");
+            stream.feats.reset(0, self.frontend.dim());
+            step(&mut stream.frontend, &self.frontend, &mut stream.feats);
+            self.am_forward(&stream.feats, &mut stream.am, &mut stream.logits);
+        }
+        let _span = mvp_obs::span!("asr.decode");
+        for row in stream.logits.rows() {
+            stream.runs.push_logits_row(row);
+        }
+        stream.logits.n_frames()
     }
 
     /// Converts a text command into the CTC target sequence using the
@@ -302,24 +272,13 @@ impl TrainedAsr {
     }
 }
 
-/// Reusable workspace for [`TrainedAsr::transcribe_batch_with`]: the full
-/// per-item intermediate state of the pipeline, owned by the caller so
-/// repeated batches reuse every allocation.
-#[derive(Debug, Clone, Default)]
-pub struct AsrScratch {
-    samples: Vec<f64>,
-    frontend: FrontEndScratch,
-    feats: FeatureMatrix,
-    logits: FeatureMatrix,
-    am: AmScratch,
-}
-
 /// Incremental transcription state for one utterance through one
-/// [`TrainedAsr`] — the streaming counterpart of [`AsrScratch`]. Drive it
-/// with [`TrainedAsr::stream_push`] / [`TrainedAsr::stream_finish`];
-/// buffers keep their capacity across utterances, so a long-lived stream
-/// (mvp-serve's per-ASR workers hold one per in-flight stream) allocates
-/// nothing in steady state once warm.
+/// [`TrainedAsr`] — the only transcription path: [`Asr::transcribe`] is
+/// one chunk through a fresh stream. Drive it with
+/// [`TrainedAsr::stream_push`] / [`TrainedAsr::stream_finish`]; buffers
+/// keep their capacity across utterances, so a long-lived stream
+/// (mvp-serve's per-ASR workers recycle one per in-flight request)
+/// allocates nothing in steady state once warm.
 #[derive(Debug, Clone, Default)]
 pub struct AsrStream {
     samples: Vec<f64>,
@@ -381,15 +340,9 @@ impl Asr for TrainedAsr {
     }
 
     fn transcribe(&self, wave: &Waveform) -> String {
-        if wave.is_empty() {
-            return String::new();
-        }
-        let logits = {
-            let _span = mvp_obs::span!("asr.features");
-            self.logits(wave)
-        };
-        let _span = mvp_obs::span!("asr.decode");
-        self.decoder.decode(&logits)
+        let mut stream = AsrStream::default();
+        self.stream_push_f32(&mut stream, wave.samples());
+        self.stream_finish(&mut stream)
     }
 }
 
@@ -413,27 +366,29 @@ mod tests {
         assert!(TrainedAsr::target_indices("").is_empty());
     }
 
+    /// The independent composition every stream-path test compares
+    /// against: whole-signal features → logits → full-matrix decode.
+    fn decode_logits(asr: &TrainedAsr, wave: &Waveform) -> String {
+        asr.decoder().decode(&asr.logits(wave))
+    }
+
     #[test]
-    fn transcribe_batch_matches_one_shot() {
+    fn transcribe_matches_logits_decode() {
         use crate::profile::AsrProfile;
         use mvp_audio::synth::{SpeakerProfile, Synthesizer};
-        use mvp_audio::Waveform;
         use mvp_phonetics::Lexicon;
 
         let asr = AsrProfile::Ds0.trained();
         let synth = Synthesizer::new(16_000);
         let lex = Lexicon::builtin();
         let texts = ["open the door", "good morning", "the man walked the street"];
-        let waves: Vec<Waveform> =
+        let mut waves: Vec<Waveform> =
             texts.iter().map(|t| synth.synthesize(&lex, t, &SpeakerProfile::default()).0).collect();
-        let mut refs: Vec<&Waveform> = waves.iter().collect();
-        let empty = Waveform::new(16_000);
-        refs.push(&empty);
-        let batch = asr.transcribe_batch(&refs);
-        assert_eq!(batch.len(), 4);
-        for (wave, text) in refs.iter().zip(&batch) {
-            assert_eq!(*text, asr.transcribe(wave));
+        waves.push(Waveform::new(16_000));
+        for wave in &waves {
+            assert_eq!(asr.transcribe(wave), decode_logits(&asr, wave));
         }
+        assert_eq!(asr.transcribe(&Waveform::new(16_000)), "");
     }
 
     #[test]
@@ -446,7 +401,7 @@ mod tests {
         let synth = Synthesizer::new(16_000);
         let lex = Lexicon::builtin();
         let (wave, _) = synth.synthesize(&lex, "open the front door", &SpeakerProfile::default());
-        let reference = asr.transcribe(&wave);
+        let reference = decode_logits(&asr, &wave);
         assert!(!reference.is_empty());
         let samples = wave.to_f64();
 
@@ -496,7 +451,7 @@ mod tests {
         assert!(stream.frames_decoded() > 0);
         assert_eq!(stream.n_samples(), samples.len());
         let fin = asr.stream_finish(&mut stream);
-        assert_eq!(fin, asr.transcribe(&wave));
+        assert_eq!(fin, decode_logits(&asr, &wave));
         // The running estimate is a prefix-ish view: by the last chunk it
         // must already contain the first decoded word.
         let first_word = fin.split_whitespace().next().unwrap();

@@ -73,8 +73,6 @@ fn scaling_gate(
 ) -> Result<(), String> {
     let engine = EngineConfig {
         queue_cap: 64,
-        max_batch: 8,
-        max_delay_ms: 2,
         deadline_ms: 120_000,
         // Smaller than the distinct set: one shard must thrash.
         cache_cap: (corpus.len() / 3).max(2),

@@ -149,7 +149,7 @@ fn retrain_with_spec(spec: &mvp_asr::profile::ProfileSpec) -> mvp_asr::TrainedAs
             labels.push(label.index());
         }
     }
-    let am = AcousticModel::train(&features, &labels, &spec.train);
+    let am = AcousticModel::train(features, &labels, &spec.train);
     let mut lm_sentences = SentenceGenerator::new(spec.lm_seed).take_sentences(spec.lm_size);
     for cmd in command_phrases() {
         for _ in 0..3 {

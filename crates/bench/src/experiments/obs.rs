@@ -81,8 +81,6 @@ pub fn run_obs_bench(ctx: &ExperimentContext) {
 
     let base_config = EngineConfig {
         queue_cap: 64,
-        max_batch: 8,
-        max_delay_ms: 2,
         deadline_ms: 120_000,
         aux_deadline_ms: Vec::new(),
         cache_cap: 256,

@@ -74,8 +74,6 @@ pub fn run_serve_bench(ctx: &ExperimentContext) {
 
     let base_config = EngineConfig {
         queue_cap: 64,
-        max_batch: 8,
-        max_delay_ms: 2,
         // Generous: deadline misses here would only add noise; the
         // degraded level forces degradation explicitly instead.
         deadline_ms: 120_000,

@@ -52,6 +52,19 @@ impl Default for EarlyExit {
     }
 }
 
+impl EarlyExit {
+    /// Folds one evaluation of the running `scores` into `collapsed`, the
+    /// count of consecutive collapsed updates, and reports whether the
+    /// rule fires. Callers apply the [`min_frames`](Self::min_frames) gate
+    /// first; a gated update leaves the count untouched.
+    pub fn fires(&self, system: &DetectionSystem, scores: &[f64], collapsed: &mut usize) -> bool {
+        let mean = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
+        let now = mean < self.threshold - self.margin && system.classify_scores(scores);
+        *collapsed = if now { *collapsed + 1 } else { 0 };
+        *collapsed >= self.horizon.max(1)
+    }
+}
+
 /// Incremental verdict state over one audio stream.
 ///
 /// Obtain with [`DetectionSystem::stream_begin`], feed with
@@ -135,10 +148,7 @@ impl DetectionStream {
             return;
         }
         let (target, auxiliaries, scores) = self.running(system);
-        let mean = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
-        let collapsed = mean < rule.threshold - rule.margin && system.classify_scores(&scores);
-        self.collapsed = if collapsed { self.collapsed + 1 } else { 0 };
-        if self.collapsed >= rule.horizon.max(1) {
+        if rule.fires(system, &scores, &mut self.collapsed) {
             self.verdict = Some(Detection {
                 is_adversarial: true,
                 scores,

@@ -5,7 +5,7 @@
 //! of PR 5. That rule could only see `crates/serve/src` text; a worker
 //! thread dies just as dead when the panic lives three calls deep in
 //! `mvp-asr` or `mvp-core`. This rule roots a BFS at the serve engine's
-//! request-handling entry points (submission, the worker/batcher/
+//! request-handling entry points (submission, the worker/dispatcher/
 //! collector loops, the stream and verdict surfaces), walks the
 //! workspace call graph, and denies `panic!` / `unreachable!` /
 //! `.unwrap()` / `.expect()` in every function the sweep reaches.
@@ -36,7 +36,7 @@ const ROOT_NAMES: &[&str] = &[
     "detect_blocking",
     // The engine's long-lived request-processing threads.
     "worker_loop",
-    "batcher_loop",
+    "dispatcher_loop",
     "collector_loop",
     // Verdict retrieval on the caller side of the rendezvous.
     "wait",
@@ -72,7 +72,7 @@ impl WorkspaceRule for PanicPath {
          persistent worker thread and silently shrinks the engine until it wedges. The \
          per-file predecessor (serve-no-panic) policed crates/serve/src textually; this rule \
          walks the workspace call graph from the entry points (submit / submit_stream / \
-         detect_blocking, the worker/batcher/collector loops, the verdict and stream \
+         detect_blocking, the worker/dispatcher/collector loops, the verdict and stream \
          surfaces) and denies panic!/unreachable!/.unwrap()/.expect() in everything reached \
          — mvp-core scoring, mvp-asr transcription, mvp-dsp features included. Indexing \
          (x[i]) is additionally denied inside crates/serve itself.\n\

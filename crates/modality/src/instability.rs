@@ -9,7 +9,7 @@
 //! fitted on when the block is fused (benign-only training — no AE data
 //! needed).
 
-use mvp_asr::AsrScratch;
+use mvp_asr::Asr;
 use mvp_audio::noise::mix_at_snr;
 use mvp_audio::{NoiseKind, Waveform};
 
@@ -88,8 +88,7 @@ impl Modality for VariantInstability {
                 mix_at_snr(input.wave, &noise, self.snr_db)
             })
             .collect();
-        let refs: Vec<&Waveform> = variants.iter().collect();
-        let texts = input.asr.transcribe_batch_with(&refs, &mut AsrScratch::default());
+        let texts: Vec<String> = variants.iter().map(|wave| input.asr.transcribe(wave)).collect();
 
         let clean = input.target_text;
         let agreements: Vec<f64> = texts.iter().map(|t| drift_similarity(clean, t)).collect();

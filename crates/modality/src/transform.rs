@@ -6,7 +6,7 @@
 //! exact input signal and often do not survive them, so the transformed
 //! transcription drifts away from the original one.
 
-use mvp_asr::AsrScratch;
+use mvp_asr::Asr;
 use mvp_audio::{resample, Waveform};
 
 use crate::{drift_similarity, CostTier, Modality, ModalityInput, ModalityKind, ModalityScore};
@@ -147,11 +147,10 @@ impl Modality for TransformCompare {
     fn score(&self, input: &ModalityInput<'_>) -> ModalityScore {
         let transformed: Vec<Waveform> =
             self.transforms.iter().map(|t| t.apply(input.wave)).collect();
-        let refs: Vec<&Waveform> = transformed.iter().collect();
-        // The scratch plan amortises pipeline buffers across the batch —
-        // the same zero-steady-state-allocation seam the serve workers use.
-        let texts = input.asr.transcribe_batch_with(&refs, &mut AsrScratch::default());
-        let features = texts.iter().map(|text| drift_similarity(input.target_text, text)).collect();
+        let features = transformed
+            .iter()
+            .map(|wave| drift_similarity(input.target_text, &input.asr.transcribe(wave)))
+            .collect();
         ModalityScore { features }
     }
 }

@@ -1,55 +1,65 @@
 //! The long-lived detection engine.
 //!
 //! ```text
-//!  submit() ──try_send──▶ ingress queue (bounded; full ⇒ shed)
-//!                             │
-//!                         batcher thread
-//!                  cache hits answered inline; misses
-//!                  grouped into micro-batches (flush on
-//!                  max_batch or max_delay_ms, deduped by
-//!                  waveform hash)
-//!                    │                      │
-//!          BatchMeta ─▶ collector    WorkItem ─▶ one persistent
-//!                            ▲               worker per recogniser
-//!                            └── WorkResult ──┘   (transcribe_batch)
-//!                             │
-//!                         collector thread
-//!                  joins results per batch; finalizes full
-//!                  verdicts, inserts the cache, and applies
-//!                  the degradation policy to deadline misses
-//!                             │
-//!                       reply channel ──▶ PendingVerdict::wait()
+//!  submit(wave) ─try_send─┐        submit_stream / push / finish ─send─┐
+//!                         ▼                                             ▼
+//!        ingress queue (bounded; full ⇒ submit sheds, a stream push blocks)
+//!                                     │
+//!                              dispatcher thread
+//!              cache hit ⇒ answered inline; otherwise Open ─▶ collector,
+//!              chunks fanned out in order, Finish ─▶ collector + workers
+//!                          │                            │
+//!          Chunk / Finish ─▶ one persistent worker      │
+//!            per recogniser (one recycled AsrStream     │
+//!            per in-flight request)                     │
+//!                          │ Running / Final            │
+//!                          ▼                            ▼
+//!                              collector thread
+//!              one RequestState per request; lockstep early exit;
+//!              at finish: deadline → degrade ladder → modalities →
+//!              fused classifier → cache insert → audit → reply
+//!                                     │
+//!            reply channel ──▶ PendingVerdict::wait / StreamHandle::finish
 //! ```
 //!
+//! Every request is a stream. A one-shot [`submit`](DetectionEngine::submit)
+//! opens one, pushes the whole waveform as a single chunk (shared, not
+//! copied) and finishes it; [`submit_stream`](DetectionEngine::submit_stream)
+//! hands the same three steps to the caller through a [`StreamHandle`].
 //! Unlike [`DetectionSystem::detect`], which spawns one thread per
 //! recogniser per call, the engine keeps one worker per recogniser alive
-//! for its whole lifetime and feeds each worker whole batches, so thread
-//! startup and feature-extraction scratch allocations are amortised
-//! across requests.
+//! for its whole lifetime; each worker advances one [`AsrStream`] per
+//! in-flight request and recycles finished ones, so buffers keep their
+//! capacity across requests.
 //!
-//! Streamed requests ([`DetectionEngine::submit_stream`]) ride the same
-//! threads: the batcher forwards each chunk to every worker immediately
-//! (streams are not micro-batched), each worker advances one incremental
-//! [`AsrStream`] per open stream, and the collector assembles the running
-//! transcripts — firing an early `Adversarial` verdict when the
-//! configured [`EngineConfig::early_exit`] rule trips, or the full
-//! end-of-stream verdict at [`StreamHandle::finish`]. With early exit
-//! off, a chunked stream and a one-shot [`submit`](DetectionEngine::submit)
-//! of the same signal produce byte-identical transcripts and scores.
-//! Streams are flow-controlled, not shed: a full ingress queue blocks
-//! the pushing caller instead of dropping a chunk mid-utterance. They
-//! bypass the transcription cache, per-recogniser deadlines, and
-//! modality scoring (the audio is consumed chunk by chunk, never
-//! retained server-side).
+//! The collector finishes every request — computed, cache hit, early
+//! exit, or drained at shutdown — through one function that applies, in
+//! order: the deadline, the degrade ladder, the modality plan, the fused
+//! classifier, the cache insert, the audit record and the reply. The
+//! deadline clock starts at finish, which for a one-shot request is
+//! submit, so streams get the same deadlines and degradation as one-shot
+//! requests. What streams still lack is the transcription cache and the
+//! modalities: their audio arrives chunk by chunk and is never retained,
+//! so there is no content key to cache under and no waveform to score.
+//! With early exit off, a chunked stream and a one-shot submission of the
+//! same signal produce byte-identical transcripts and scores. Streams are
+//! flow-controlled, not shed: a full ingress queue blocks the pushing
+//! caller instead of dropping a chunk mid-utterance.
 //!
-//! Every stage is instrumented: `serve.submit`, `serve.flush`,
-//! `serve.cache_hit`, `serve.transcribe_batch` and `serve.finalize`
-//! spans (inert unless `mvp_obs::trace` is enabled), registry-backed
-//! [`ServeStats`] counters, and — when [`EngineConfig::audit`] is set —
-//! one JSONL record per verdict or shed from which the decision can be
-//! reconstructed offline.
+//! With an [`EngineConfig::early_exit`] rule, each worker reports its
+//! running transcript after every stream chunk and the collector scores
+//! chunk *s* only once every recogniser has reported chunk *s*, so an
+//! early `Adversarial` fires on exactly the chunk where in-process
+//! [`DetectionStream`](mvp_ears::DetectionStream) fires, whatever the
+//! worker timing.
+//!
+//! Every stage is instrumented: `serve.submit`, `serve.cache_hit`,
+//! `serve.transcribe` and `serve.finalize` spans (inert unless
+//! `mvp_obs::trace` is enabled), registry-backed [`ServeStats`] counters,
+//! and — when [`EngineConfig::audit`] is set — one JSONL record per
+//! verdict or shed from which the decision can be reconstructed offline.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -59,7 +69,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 
 use mvp_artifact::{ArtifactError, Persist};
-use mvp_asr::{Asr, AsrProfile, AsrScratch, AsrStream, TrainedAsr};
+use mvp_asr::{AsrStream, TrainedAsr};
 use mvp_audio::Waveform;
 use mvp_ears::{DetectionSystem, DetectionSystemSnapshot, EarlyExit};
 use mvp_modality::{ModalityInput, ModalityKind};
@@ -76,28 +86,16 @@ use crate::stats::{ServeStats, StatsSnapshot};
 pub struct EngineConfig {
     /// Ingress queue capacity; a full queue sheds new requests.
     pub queue_cap: usize,
-    /// Flush a micro-batch when it reaches this many requests.
-    pub max_batch: usize,
-    /// ... or when the oldest queued request has waited this long.
-    pub max_delay_ms: u64,
-    /// Per-request deadline. The target ASR missing it fails the request;
-    /// an auxiliary missing it degrades the verdict.
+    /// Per-request deadline, counted from the request's finish (for a
+    /// one-shot request, its submit). The target ASR missing it fails the
+    /// request; an auxiliary missing it degrades the verdict.
     pub deadline_ms: u64,
     /// Per-auxiliary deadline override (clamped to `deadline_ms`).
     /// `None` inherits `deadline_ms`; `Some(0)` disables the auxiliary
-    /// outright (it is never dispatched — deterministic degraded mode).
-    /// May be shorter than the full auxiliary list; missing tail entries
-    /// are `None`.
+    /// outright (it is never dispatched — deterministic degraded mode,
+    /// and no early exit). May be shorter than the full auxiliary list;
+    /// missing tail entries are `None`.
     pub aux_deadline_ms: Vec<Option<u64>>,
-    /// Per-auxiliary precision mix (the PVP axis): `true` swaps that
-    /// auxiliary's persistent worker to the profile's int8 quantized
-    /// variant at engine start, so the ensemble mixes f64 and int8
-    /// members without retraining or re-snapshotting. May be shorter
-    /// than the auxiliary list; missing tail entries stay f64. An
-    /// auxiliary that is already an int8 variant is left as-is; one
-    /// whose name matches no [`AsrProfile`] cannot be swapped and fails
-    /// engine start.
-    pub aux_int8: Vec<bool>,
     /// Transcription-cache capacity in waveforms; `0` disables caching.
     pub cache_cap: usize,
     /// The modality mix scored per request, in order. Every kind must be
@@ -119,14 +117,15 @@ pub struct EngineConfig {
     /// system there after a cold start. `None` disables the disk tier.
     pub model_dir: Option<PathBuf>,
     /// Verdict audit log. When set, every answered request (full,
-    /// degraded, failed, cache hit) and every shed appends one JSONL
-    /// record. `None` (the default) disables auditing.
+    /// degraded, failed, cache hit, early exit) and every shed appends
+    /// one JSONL record. `None` (the default) disables auditing.
     pub audit: Option<Arc<AuditLog>>,
     /// Early-exit rule for streamed requests: when set, the collector
     /// re-scores the running transcripts after every chunk and can
     /// answer `Adversarial` before end-of-stream. `None` (the default)
     /// decides only at [`StreamHandle::finish`], which keeps chunked
-    /// verdicts byte-identical to one-shot ones.
+    /// verdicts byte-identical to one-shot ones. Ignored while an
+    /// auxiliary is disabled by `aux_deadline_ms`.
     pub early_exit: Option<EarlyExit>,
 }
 
@@ -134,11 +133,8 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             queue_cap: 64,
-            max_batch: 8,
-            max_delay_ms: 5,
             deadline_ms: 1_000,
             aux_deadline_ms: Vec::new(),
-            aux_int8: Vec::new(),
             cache_cap: 256,
             modalities: Vec::new(),
             modality_budget_ms: Vec::new(),
@@ -242,8 +238,9 @@ pub struct Verdict {
     /// The target transcription, when the target answered.
     pub target_transcription: Option<String>,
     /// One report per planned modality, in plan order; empty when the
-    /// engine runs similarity-only or the request failed/degraded
-    /// before modality scoring.
+    /// engine runs similarity-only, the request is a stream (no audio is
+    /// retained to score), or it failed/degraded before modality
+    /// scoring.
     pub modalities: Vec<ModalityReport>,
     /// Whether the fused similarity + modality classifier answered.
     pub fused: bool,
@@ -251,7 +248,7 @@ pub struct Verdict {
     /// engine's [`EngineConfig::early_exit`] rule. Always `false` for
     /// one-shot submissions and for stream verdicts decided at finish.
     pub early_exit: bool,
-    /// End-to-end latency from `submit` to finalization.
+    /// End-to-end latency from `submit` (or stream open) to the verdict.
     pub latency: Duration,
 }
 
@@ -319,143 +316,153 @@ impl PendingVerdict {
     }
 }
 
-struct Request {
-    id: u64,
-    wave: Arc<Waveform>,
-    key: u64,
-    submitted: Instant,
-    /// Time spent in the ingress queue, stamped at batcher pickup.
-    queued_us: u64,
-    reply: Sender<Verdict>,
+/// Samples fanned out to the workers: one pushed stream chunk, or a
+/// one-shot request's whole waveform, shared without copying.
+#[derive(Clone)]
+enum Samples {
+    Chunk(Arc<Vec<f32>>),
+    Whole(Arc<Waveform>),
 }
 
-/// Everything that can enter the ingress queue: one-shot requests and
-/// stream lifecycle messages share the single bounded channel, so
-/// per-stream chunk order is preserved end to end.
+impl Samples {
+    fn as_slice(&self) -> &[f32] {
+        match self {
+            Samples::Chunk(samples) => samples,
+            Samples::Whole(wave) => wave.samples(),
+        }
+    }
+}
+
+/// Everything that can enter the ingress queue. One bounded channel
+/// carries every request's messages, so each request's chunk order is
+/// preserved end to end. `Open` with a waveform and its content key is a
+/// one-shot request: pushed whole and finished at once.
 enum IngressMsg {
-    Detect(Request),
-    Stream(StreamMsg),
+    Open { id: u64, at: Instant, reply: Sender<Verdict>, wave: Option<(Arc<Waveform>, u64)> },
+    Chunk { id: u64, samples: Arc<Vec<f32>> },
+    Finish { id: u64, at: Instant },
 }
 
-struct StreamMsg {
-    id: u64,
-    payload: StreamPayload,
-}
-
-enum StreamPayload {
-    Open { reply: Sender<Verdict>, opened: Instant },
-    Chunk { samples: Arc<Vec<f32>> },
-    Finish,
-}
-
-struct Waiter {
-    id: u64,
-    reply: Sender<Verdict>,
-    submitted: Instant,
-    queued_us: u64,
-}
-
-/// One unique waveform within a batch and everyone waiting on it. The
-/// waveform itself rides along so the collector can score modalities at
-/// finalization.
-struct BatchItem {
-    key: u64,
-    wave: Arc<Waveform>,
-    waiters: Vec<Waiter>,
-}
-
+/// Work for one recogniser. `report_running` sends the running
+/// transcript back after the chunk (only for streams on an engine with an
+/// early-exit rule).
 enum WorkItem {
-    Batch {
-        batch_id: u64,
-        waves: Vec<Arc<Waveform>>,
-    },
-    StreamChunk {
-        stream_id: u64,
-        samples: Arc<Vec<f32>>,
-        /// Send the running transcript back after this chunk (true only
-        /// when the engine has an early-exit rule to evaluate).
-        report_running: bool,
-    },
-    StreamFinish {
-        stream_id: u64,
-    },
-}
-
-struct WorkResult {
-    batch_id: u64,
-    asr_index: usize,
-    texts: Vec<String>,
-    elapsed_us: u64,
-}
-
-struct BatchMeta {
-    batch_id: u64,
-    items: Vec<BatchItem>,
-    /// Per recogniser (target first): whether work was sent to it.
-    dispatched: Vec<bool>,
-    /// Per recogniser: when the collector stops waiting for it.
-    deadlines: Vec<Instant>,
+    Chunk { id: u64, samples: Samples, report_running: bool },
+    Finish { id: u64 },
 }
 
 enum CollectorMsg {
-    Meta(BatchMeta),
-    Result(WorkResult),
-    StreamOpen { stream_id: u64, reply: Sender<Verdict>, opened: Instant },
-    StreamRunning { stream_id: u64, asr_index: usize, seq: u64, frames: usize, text: String },
-    StreamFinal { stream_id: u64, asr_index: usize, text: String },
+    Open(RequestState),
+    Finished { id: u64, at: Instant },
+    Running { id: u64, asr_index: usize, seq: u64, frames: usize, text: String },
+    Final { id: u64, asr_index: usize, text: String, busy_us: u64 },
 }
 
-/// Collector-side state of one open stream.
-struct StreamState {
+/// Where the transcripts behind a verdict came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// The workers' final transcripts (or as many as met their deadline).
+    Workers,
+    /// The transcription cache, looked up at dispatch.
+    Cache,
+    /// The workers' running transcripts at the chunk where the early-exit
+    /// rule fired.
+    EarlyExit,
+}
+
+/// Collector-side state of one request, one-shot or stream.
+struct RequestState {
+    id: u64,
     reply: Sender<Verdict>,
-    opened: Instant,
-    /// An early verdict has been sent; the finish only cleans up.
+    /// Submit (one-shot) or open (stream) time; latency runs from here.
+    submitted: Instant,
+    /// Time spent in the ingress queue, stamped at dispatch.
+    queued_us: u64,
+    /// A one-shot request's waveform and content key, held for the
+    /// modalities and the cache insert. `None` for streams, whose audio
+    /// is never retained.
+    wave: Option<(Arc<Waveform>, u64)>,
+    /// When the request finished; every deadline runs from here. A
+    /// one-shot request finishes at submit; `None` while a stream is open.
+    finished: Option<Instant>,
+    /// Per recogniser (target first): the final transcript.
+    finals: Vec<Option<String>>,
+    /// Per recogniser: worker wall time spent on this request.
+    busy_us: Vec<Option<u64>>,
+    /// An early verdict has been sent; retiring only cleans up.
     answered: bool,
     /// Consecutive collapsed early-exit evaluations.
     collapsed: usize,
-    /// Chunk seq of the last early-exit evaluation (each chunk is
-    /// evaluated at most once, after every recogniser has reported it).
-    evaluated_seq: u64,
-    /// Per recogniser: logit frames decoded so far. The early-exit
-    /// `min_frames` gate reads the minimum, mirroring
-    /// `mvp_ears::DetectionStream::evaluate` — a heavily subsampling
-    /// auxiliary (or a lagging precision variant) must not be judged on a
-    /// near-empty running transcript.
-    frames: Vec<usize>,
-    /// Per recogniser: latest running `(seq, transcript)`.
-    running: Vec<Option<(u64, String)>>,
-    /// Per recogniser: the final flushed transcript.
-    finals: Vec<Option<String>>,
+    /// Chunk seq of the front of `running`.
+    next_seq: u64,
+    /// Per chunk seq from `next_seq` on, per recogniser: the running
+    /// `(frames decoded, transcript)` after that chunk. A seq is
+    /// evaluated once every recogniser has reported it.
+    running: VecDeque<Vec<Option<(usize, String)>>>,
 }
 
-struct BatchState {
-    items: Vec<BatchItem>,
-    dispatched: Vec<bool>,
-    deadlines: Vec<Instant>,
-    /// Per recogniser: transcriptions aligned with `items`.
-    results: Vec<Option<Vec<String>>>,
-    /// Per recogniser: batch transcription wall time, for audit records.
-    elapsed_us: Vec<Option<u64>>,
-}
-
-impl BatchState {
-    /// Ready when every dispatched recogniser has answered or timed out.
-    fn is_ready(&self, now: Instant) -> bool {
-        self.dispatched.iter().zip(&self.results).zip(&self.deadlines).all(
-            |((&dispatched, result), &deadline)| !dispatched || result.is_some() || now >= deadline,
-        )
+impl RequestState {
+    /// The instants at which the collector stops waiting for each
+    /// dispatched recogniser that has not answered yet.
+    fn open_deadlines<'a>(&'a self, shared: &'a Shared) -> impl Iterator<Item = Instant> + 'a {
+        let finished = self.finished;
+        shared.budgets.iter().zip(&self.finals).filter_map(move |(budget, text)| {
+            match (budget, text) {
+                (Some(budget), None) => finished.map(|at| at + *budget),
+                _ => None,
+            }
+        })
     }
 
-    /// The next instant at which readiness can change by timeout alone.
-    fn next_deadline(&self) -> Option<Instant> {
-        (0..self.dispatched.len())
-            .filter(|&i| self.dispatched[i] && self.results[i].is_none())
-            .map(|i| self.deadlines[i])
-            .min()
+    /// Finished, and every dispatched recogniser has answered or timed out.
+    fn is_ready(&self, shared: &Shared, now: Instant) -> bool {
+        self.finished.is_some() && self.open_deadlines(shared).all(|deadline| now >= deadline)
+    }
+
+    /// Records one recogniser's running transcript after chunk `seq`, then
+    /// evaluates, in order, every chunk all recognisers have now reported
+    /// — the same gate and [`EarlyExit::fires`] rule
+    /// `mvp_ears::DetectionStream::push` applies, so served and in-process
+    /// streams fire on the same chunk.
+    fn on_running(
+        &mut self,
+        shared: &Shared,
+        asr_index: usize,
+        seq: u64,
+        frames: usize,
+        text: String,
+    ) {
+        let Some(rule) = shared.early_exit else { return };
+        if self.answered || seq < self.next_seq {
+            return;
+        }
+        let slot = (seq - self.next_seq) as usize;
+        while self.running.len() <= slot {
+            self.running.push_back(vec![None; self.finals.len()]);
+        }
+        if let Some(cell) = self.running.get_mut(slot).and_then(|row| row.get_mut(asr_index)) {
+            *cell = Some((frames, text));
+        }
+        while self.running.front().is_some_and(|row| row.iter().all(Option::is_some)) {
+            let Some(row) = self.running.pop_front() else { return };
+            self.next_seq += 1;
+            let (frames, texts): (Vec<usize>, Vec<String>) = row.into_iter().flatten().unzip();
+            if frames.iter().copied().min().unwrap_or(0) < rule.min_frames {
+                continue;
+            }
+            let Some((target, auxiliaries)) = texts.split_first() else { return };
+            let scores = shared.system.scores_from_transcripts(target, auxiliaries);
+            if rule.fires(&shared.system, &scores, &mut self.collapsed) {
+                shared.answer(self, texts.into_iter().map(Some).collect(), Source::EarlyExit);
+                self.answered = true;
+                self.running.clear();
+                return;
+            }
+        }
     }
 }
 
-/// The transcription cache shared between batcher and collector.
+/// The transcription cache shared between dispatcher and collector.
 ///
 /// All access goes through [`with`](Self::with), which recovers — and
 /// counts — a poisoned lock: a thread panicking while holding the cache
@@ -488,17 +495,22 @@ impl SharedCache {
 
 /// Wall-clock microseconds since the Unix epoch, for audit records.
 fn wall_ts_us() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
-        .unwrap_or(0)
+    std::time::SystemTime::now().duration_since(std::time::SystemTime::UNIX_EPOCH).map_or(0, micros)
 }
 
-/// Builds the JSONL audit record for one answered request.
+/// A JSON array of already-encoded values.
+fn json_array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(","))
+}
+
+/// Builds the JSONL audit record for one answered request. `dispatch`
+/// fills the record's `batch` field: the worker dispatch that computed
+/// the transcripts (every computed request is its own dispatch, so this
+/// is its request id), `None` for a cache hit.
 #[allow(clippy::too_many_arguments)]
 fn verdict_record(
     id: u64,
-    batch_id: Option<u64>,
+    dispatch: Option<u64>,
     verdict: &Verdict,
     aux_texts: &[Option<String>],
     threshold: Option<f64>,
@@ -511,54 +523,23 @@ fn verdict_record(
         VerdictKind::Degraded(t) => ("degraded", Some(t.name())),
         VerdictKind::Failed => ("failed", None),
     };
-    let mut aux = String::from("[");
-    for (j, text) in aux_texts.iter().enumerate() {
-        if j > 0 {
-            aux.push(',');
-        }
-        aux.push_str(
-            &JsonObj::new()
-                .u64("i", j as u64)
-                .opt_str("text", text.as_deref())
-                .opt_f64("score", verdict.scores.get(j).copied().flatten())
-                .finish(),
-        );
-    }
-    aux.push(']');
-    let mut transcribe = String::from("[");
-    for (i, t) in transcribe_us.iter().enumerate() {
-        if i > 0 {
-            transcribe.push(',');
-        }
-        match t {
-            Some(us) => transcribe.push_str(&us.to_string()),
-            None => transcribe.push_str("null"),
-        }
-    }
-    transcribe.push(']');
-    let mut modalities = String::from("[");
-    for (i, report) in verdict.modalities.iter().enumerate() {
-        if i > 0 {
-            modalities.push(',');
-        }
-        let mut features = String::from("[");
-        for (j, f) in report.features.iter().enumerate() {
-            if j > 0 {
-                features.push(',');
-            }
-            features.push_str(&format!("{f}"));
-        }
-        features.push(']');
-        modalities.push_str(
-            &JsonObj::new()
-                .str("name", report.kind.name())
-                .bool("scored", report.scored)
-                .raw("features", &features)
-                .u64("us", report.elapsed_us)
-                .finish(),
-        );
-    }
-    modalities.push(']');
+    let aux = json_array(aux_texts.iter().enumerate().map(|(j, text)| {
+        JsonObj::new()
+            .u64("i", j as u64)
+            .opt_str("text", text.as_deref())
+            .opt_f64("score", verdict.scores.get(j).copied().flatten())
+            .finish()
+    }));
+    let transcribe =
+        json_array(transcribe_us.iter().map(|t| t.map_or("null".to_string(), |us| us.to_string())));
+    let modalities = json_array(verdict.modalities.iter().map(|report| {
+        JsonObj::new()
+            .str("name", report.kind.name())
+            .bool("scored", report.scored)
+            .raw("features", &json_array(report.features.iter().map(|f| format!("{f}"))))
+            .u64("us", report.elapsed_us)
+            .finish()
+    }));
     let timing = JsonObj::new()
         .u64("queue_us", queued_us)
         .raw("transcribe_us", &transcribe)
@@ -573,7 +554,7 @@ fn verdict_record(
         .str("event", "verdict")
         .u64("ts_us", wall_ts_us())
         .u64("request", id);
-    let obj = match batch_id {
+    let obj = match dispatch {
         Some(b) => obj.u64("batch", b),
         None => obj.null("batch"),
     };
@@ -591,6 +572,219 @@ fn verdict_record(
         .finish()
 }
 
+/// What the dispatcher and the collector share: the served system and
+/// the policy every verdict passes through.
+struct Shared {
+    system: Arc<DetectionSystem>,
+    policy: DegradePolicy,
+    plan: ModalityPlan,
+    cache: Option<SharedCache>,
+    stats: Arc<ServeStats>,
+    audit: Option<Arc<AuditLog>>,
+    /// The early-exit rule; `None` when unset or an auxiliary is disabled.
+    early_exit: Option<EarlyExit>,
+    /// Per recogniser (target first): its deadline, counted from the
+    /// request's finish; `None` when it is never dispatched.
+    budgets: Vec<Option<Duration>>,
+}
+
+impl Shared {
+    /// A fresh request state. One-shot requests (`wave` present) are
+    /// finished at submit.
+    fn request(
+        &self,
+        id: u64,
+        reply: Sender<Verdict>,
+        submitted: Instant,
+        wave: Option<(Arc<Waveform>, u64)>,
+    ) -> RequestState {
+        let n_rec = self.budgets.len();
+        RequestState {
+            id,
+            reply,
+            submitted,
+            queued_us: micros(submitted.elapsed()),
+            finished: wave.is_some().then_some(submitted),
+            wave,
+            finals: vec![None; n_rec],
+            busy_us: vec![None; n_rec],
+            answered: false,
+            collapsed: 0,
+            next_seq: 1,
+            running: VecDeque::new(),
+        }
+    }
+
+    fn lookup(&self, key: u64) -> Option<TranscriptVec> {
+        let cache = self.cache.as_ref()?;
+        self.stats.cache_lookups.inc();
+        let hit = cache.with(|c| c.get(&key).cloned());
+        if hit.is_some() {
+            self.stats.cache_hits.inc();
+        }
+        hit
+    }
+
+    /// Builds, counts, audits and sends the one verdict of `req` from its
+    /// per-recogniser transcripts (target first; `None` = missed its
+    /// deadline or never dispatched). Every verdict the engine sends —
+    /// full, degraded, failed, cache hit, early exit — is made here, by
+    /// these steps in order:
+    ///
+    /// 1. deadline: without the target's transcript the request fails;
+    /// 2. degrade ladder: a missing auxiliary hands the partial score
+    ///    vector to the [`DegradePolicy`];
+    /// 3. modalities, when the waveform is held (one-shot requests);
+    /// 4. the fused classifier, when every planned modality scored;
+    /// 5. cache insert, for a full vector the workers just computed;
+    /// 6. audit;
+    /// 7. reply.
+    fn answer(&self, req: &RequestState, texts: Vec<Option<String>>, source: Source) {
+        let _span = mvp_obs::span!("serve.finalize", req.id);
+        let started = Instant::now();
+        let mut texts = texts.into_iter();
+        let target = texts.next().flatten();
+        let aux_texts: Vec<Option<String>> = texts.collect();
+        let mut verdict = Verdict {
+            is_adversarial: None,
+            kind: VerdictKind::Failed,
+            from_cache: source == Source::Cache,
+            scores: vec![None; aux_texts.len()],
+            target_transcription: None,
+            modalities: Vec::new(),
+            fused: false,
+            early_exit: source == Source::EarlyExit,
+            latency: Duration::ZERO,
+        };
+        // The mean-score threshold makes MeanThreshold verdicts
+        // reconstructible from the audit record alone.
+        let mut threshold = None;
+        if let Some(target) = target {
+            let present: Vec<(usize, String)> = aux_texts
+                .iter()
+                .enumerate()
+                .filter_map(|(j, text)| Some((j, text.clone()?)))
+                .collect();
+            let (indices, present): (Vec<usize>, Vec<String>) = present.into_iter().unzip();
+            let scores = self.system.scores_from_transcripts(&target, &present);
+            for (&j, &score) in indices.iter().zip(&scores) {
+                if let Some(slot) = verdict.scores.get_mut(j) {
+                    *slot = Some(score);
+                }
+            }
+            if present.len() < aux_texts.len() {
+                let pairs: Vec<(usize, f64)> = indices.into_iter().zip(scores).collect();
+                let (is_adversarial, tier) = self.policy.classify(&pairs);
+                verdict.is_adversarial = Some(is_adversarial);
+                verdict.kind = VerdictKind::Degraded(tier);
+                if tier == FallbackTier::MeanThreshold {
+                    threshold = self.policy.mean_threshold();
+                }
+            } else {
+                verdict.is_adversarial = Some(self.system.classify_scores(&scores));
+                verdict.kind = VerdictKind::Full;
+                if let Some((wave, key)) = &req.wave {
+                    self.apply_modalities(&mut verdict, wave, &scores, &target, req.submitted);
+                    if let (Source::Workers, Some(cache)) = (source, &self.cache) {
+                        let vector: Vec<String> =
+                            std::iter::once(target.clone()).chain(present).collect();
+                        cache.with(|c| c.insert(*key, Arc::new(vector)));
+                    }
+                }
+            }
+            verdict.target_transcription = Some(target);
+        }
+        verdict.latency = req.submitted.elapsed();
+
+        let stats = &self.stats;
+        match verdict.kind {
+            VerdictKind::Failed => stats.deadline_failures.inc(),
+            VerdictKind::Degraded(_) => stats.degraded.inc(),
+            VerdictKind::Full => {}
+        }
+        if verdict.fused {
+            stats.fused_verdicts.inc();
+        }
+        if verdict.early_exit {
+            stats.stream_early_exits.inc();
+        }
+        stats.latency.record(verdict.latency);
+        stats.completed.inc();
+        if let Some(audit) = &self.audit {
+            let (dispatch, transcribe_us) = match source {
+                Source::Cache => (None, [].as_slice()),
+                _ => (Some(req.id), req.busy_us.as_slice()),
+            };
+            let record = verdict_record(
+                req.id,
+                dispatch,
+                &verdict,
+                &aux_texts,
+                threshold,
+                req.queued_us,
+                transcribe_us,
+                micros(started.elapsed()),
+            );
+            let _ = audit.append(&record);
+        }
+        let _ = req.reply.send(verdict);
+    }
+
+    /// Steps 3 and 4 of [`answer`](Self::answer) on a full similarity
+    /// verdict: upgrade to a fused verdict when every planned modality
+    /// scored on a fused-capable engine, degrade to
+    /// [`FallbackTier::SimilarityOnly`] when one missed its budget, or
+    /// just attach the evidence reports otherwise.
+    fn apply_modalities(
+        &self,
+        verdict: &mut Verdict,
+        wave: &Waveform,
+        scores: &[f64],
+        target_text: &str,
+        submitted: Instant,
+    ) {
+        if self.plan.is_empty() {
+            return;
+        }
+        let reports =
+            score_modalities(&self.system, &self.plan, wave, target_text, submitted, &self.stats);
+        if self.plan.fused_capable {
+            if reports.iter().all(|r| r.scored) {
+                let mut raw = scores.to_vec();
+                for report in &reports {
+                    raw.extend_from_slice(&report.features);
+                }
+                let fused = self
+                    .system
+                    .fused_classifier()
+                    // mvp-lint: allow(panic-path) -- fused_capable is only set at engine start when the system carries a fused classifier
+                    .expect("fused-capable plan implies a fused classifier");
+                verdict.is_adversarial = Some(fused.is_adversarial(&raw));
+                verdict.fused = true;
+            } else {
+                verdict.kind = VerdictKind::Degraded(FallbackTier::SimilarityOnly);
+            }
+        }
+        verdict.modalities = reports;
+    }
+
+    /// Retires a request whose recognisers have all answered or timed
+    /// out, answering it unless an early verdict already went out.
+    fn retire(&self, mut req: RequestState) {
+        if req.wave.is_none() {
+            self.stats.streams_completed.inc();
+        }
+        if !req.answered {
+            let texts = std::mem::take(&mut req.finals);
+            self.answer(&req, texts, Source::Workers);
+        }
+    }
+}
+
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 /// The long-lived serving engine. Dropping it drains in-flight requests
 /// (each gets a verdict) and joins all threads.
 pub struct DetectionEngine {
@@ -598,8 +792,8 @@ pub struct DetectionEngine {
     threads: Vec<JoinHandle<()>>,
     stats: Arc<ServeStats>,
     audit: Option<Arc<AuditLog>>,
+    /// One id space for one-shot requests and streams alike.
     next_id: AtomicU64,
-    next_stream_id: AtomicU64,
 }
 
 impl std::fmt::Debug for DetectionEngine {
@@ -609,13 +803,13 @@ impl std::fmt::Debug for DetectionEngine {
 }
 
 impl DetectionEngine {
-    /// Starts the engine: one batcher, one persistent worker per
+    /// Starts the engine: one dispatcher, one persistent worker per
     /// recogniser, one collector.
     ///
     /// # Panics
     ///
-    /// Panics if the system is untrained, `queue_cap`/`max_batch` is
-    /// zero, or `aux_deadline_ms` is longer than the auxiliary list.
+    /// Panics if the system is untrained, `queue_cap` is zero, or
+    /// `aux_deadline_ms` is longer than the auxiliary list.
     pub fn start(
         system: Arc<DetectionSystem>,
         policy: DegradePolicy,
@@ -623,18 +817,11 @@ impl DetectionEngine {
     ) -> DetectionEngine {
         assert!(system.is_trained(), "serve a trained DetectionSystem");
         assert!(config.queue_cap > 0, "queue_cap must be positive");
-        assert!(config.max_batch > 0, "max_batch must be positive");
         let n_aux = system.n_auxiliaries();
         assert!(
             config.aux_deadline_ms.len() <= n_aux,
             "aux_deadline_ms has {} entries for {} auxiliaries",
             config.aux_deadline_ms.len(),
-            n_aux
-        );
-        assert!(
-            config.aux_int8.len() <= n_aux,
-            "aux_int8 has {} entries for {} auxiliaries",
-            config.aux_int8.len(),
             n_aux
         );
         assert_eq!(policy.n_aux(), n_aux, "degrade policy dimension mismatch");
@@ -655,17 +842,34 @@ impl DetectionEngine {
             config.modality_budget_ms.len(),
             config.modalities.len()
         );
-        let plan = Arc::new(ModalityPlan {
-            fused_capable: system.is_fused() && config.modalities == registered,
-            kinds: config.modalities.clone(),
-            budgets_ms: config.modality_budget_ms.clone(),
-        });
 
+        // Entry 0 is the target recogniser; per-auxiliary overrides start
+        // at index 1.
+        let overall = Duration::from_millis(config.deadline_ms);
+        let mut budgets = vec![Some(overall); 1 + n_aux];
+        for (override_ms, budget) in config.aux_deadline_ms.iter().zip(budgets.iter_mut().skip(1)) {
+            *budget = match override_ms {
+                Some(0) => None,
+                Some(ms) => Some(Duration::from_millis((*ms).min(config.deadline_ms))),
+                None => Some(overall),
+            };
+        }
         let stats = Arc::new(ServeStats::new());
-        let policy = Arc::new(policy);
-        let audit = config.audit.clone();
-        let cache: Option<SharedCache> = (config.cache_cap > 0)
-            .then(|| SharedCache::new(config.cache_cap, stats.cache_poison_recovered.clone()));
+        let shared = Arc::new(Shared {
+            plan: ModalityPlan {
+                fused_capable: system.is_fused() && config.modalities == registered,
+                kinds: config.modalities.clone(),
+                budgets_ms: config.modality_budget_ms.clone(),
+            },
+            early_exit: config.early_exit.filter(|_| budgets.iter().all(Option::is_some)),
+            budgets,
+            cache: (config.cache_cap > 0)
+                .then(|| SharedCache::new(config.cache_cap, stats.cache_poison_recovered.clone())),
+            stats: Arc::clone(&stats),
+            audit: config.audit.clone(),
+            policy,
+            system,
+        });
 
         let (ingress_tx, ingress_rx) = channel::bounded::<IngressMsg>(config.queue_cap);
         // Bounded like every other serve channel (channel-discipline):
@@ -674,32 +878,18 @@ impl DetectionEngine {
         let (collector_tx, collector_rx) =
             channel::bounded::<CollectorMsg>((config.queue_cap * 8).max(256));
 
-        let mut recognizers = system.recognizers();
-        // Apply the precision mix: marked auxiliaries transcribe on the
-        // profile's int8 variant while scoring, classification and the
-        // cache stay untouched (both precisions produce plain text).
-        for (j, &int8) in config.aux_int8.iter().enumerate() {
-            if !int8 || recognizers[j + 1].quantized_model().is_some() {
-                continue;
-            }
-            let name = recognizers[j + 1].name().to_string();
-            let Some(profile) = AsrProfile::by_name(&name) else {
-                // mvp-lint: allow(panic-path) -- engine construction config validation, before any request is accepted
-                panic!("aux_int8[{j}]: auxiliary {name:?} matches no profile, cannot derive its int8 variant")
-            };
-            recognizers[j + 1] = profile.trained_quantized();
-        }
+        let recognizers = shared.system.recognizers();
         // Partition the machine's cores between the ASR workers: each
         // worker's kernel-plane frame parallelism (`par_rows` inside
         // MFCC/CTC) gets an equal share, so intra-request data
-        // parallelism never oversubscribes the batch plane.
+        // parallelism never oversubscribes the worker fleet.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         mvp_dsp::kernel::set_threads((cores / recognizers.len().max(1)).max(1));
         let mut threads = Vec::with_capacity(recognizers.len() + 2);
         let mut worker_txs = Vec::with_capacity(recognizers.len());
         for (i, asr) in recognizers.into_iter().enumerate() {
             // Bounded: a backlogged worker exerts backpressure on the
-            // batcher (and through the ingress queue, on submitters)
+            // dispatcher (and through the ingress queue, on submitters)
             // instead of buffering without limit.
             let (tx, rx) = channel::bounded::<WorkItem>((config.queue_cap * 4).max(64));
             worker_txs.push(tx);
@@ -712,64 +902,30 @@ impl DetectionEngine {
                     .expect("spawn worker"),
             );
         }
-
         {
-            let system = Arc::clone(&system);
-            let stats = Arc::clone(&stats);
-            let cache = cache.clone();
-            let config = config.clone();
-            let plan = Arc::clone(&plan);
+            let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
-                    .name("serve-batcher".into())
-                    .spawn(move || {
-                        batcher_loop(
-                            system,
-                            config,
-                            plan,
-                            ingress_rx,
-                            worker_txs,
-                            collector_tx,
-                            cache,
-                            stats,
-                        )
-                    })
+                    .name("serve-dispatcher".into())
+                    .spawn(move || dispatcher_loop(shared, ingress_rx, worker_txs, collector_tx))
                     // mvp-lint: allow(panic-path) -- engine construction, before any request is accepted; failing to spawn means no engine exists to degrade
-                    .expect("spawn batcher"),
+                    .expect("spawn dispatcher"),
             );
         }
-
-        {
-            let stats = Arc::clone(&stats);
-            let audit = audit.clone();
-            let early = config.early_exit;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-collector".into())
-                    .spawn(move || {
-                        collector_loop(
-                            system,
-                            policy,
-                            plan,
-                            early,
-                            collector_rx,
-                            cache,
-                            stats,
-                            audit,
-                        )
-                    })
-                    // mvp-lint: allow(panic-path) -- engine construction, before any request is accepted; failing to spawn means no engine exists to degrade
-                    .expect("spawn collector"),
-            );
-        }
+        threads.push(
+            std::thread::Builder::new()
+                .name("serve-collector".into())
+                .spawn(move || collector_loop(shared, collector_rx))
+                // mvp-lint: allow(panic-path) -- engine construction, before any request is accepted; failing to spawn means no engine exists to degrade
+                .expect("spawn collector"),
+        );
 
         DetectionEngine {
             ingress: Some(ingress_tx),
             threads,
             stats,
-            audit,
+            audit: config.audit,
             next_id: AtomicU64::new(0),
-            next_stream_id: AtomicU64::new(0),
         }
     }
 
@@ -816,20 +972,22 @@ impl DetectionEngine {
         Ok((Self::start(system, policy, config), false))
     }
 
-    /// Submits a waveform for detection. Non-blocking: a full ingress
-    /// queue sheds the request with [`SubmitError::Overloaded`].
+    /// Submits a waveform for detection: a stream opened, fed the whole
+    /// waveform (shared, not copied) and finished in one message.
+    /// Non-blocking: a full ingress queue sheds the request with
+    /// [`SubmitError::Overloaded`].
     pub fn submit(&self, wave: impl Into<Arc<Waveform>>) -> Result<PendingVerdict, SubmitError> {
         let tx = self.ingress.as_ref().ok_or(SubmitError::Closed)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _span = mvp_obs::span!("serve.submit", id);
         let wave = wave.into();
         let key = waveform_key(&wave);
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let request =
-            Request { id, wave, key, submitted: Instant::now(), queued_us: 0, reply: reply_tx };
-        // Gauge first so it never underflows against the batcher's decrement.
+        let (reply, reply_rx) = channel::bounded(1);
+        let msg = IngressMsg::Open { id, at: Instant::now(), reply, wave: Some((wave, key)) };
+        // Gauge first so it never underflows against the dispatcher's
+        // decrement.
         self.stats.queue_depth.inc();
-        match tx.try_send(IngressMsg::Detect(request)) {
+        match tx.try_send(msg) {
             Ok(()) => {
                 self.stats.submitted.inc();
                 Ok(PendingVerdict { rx: reply_rx })
@@ -867,16 +1025,16 @@ impl DetectionEngine {
     /// "every accepted stream is answered" a structural guarantee.
     pub fn submit_stream(&self) -> Result<StreamHandle<'_>, SubmitError> {
         let tx = self.ingress.as_ref().ok_or(SubmitError::Closed)?;
-        let id = self.next_stream_id.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let payload = StreamPayload::Open { reply: reply_tx, opened: Instant::now() };
-        tx.send(IngressMsg::Stream(StreamMsg { id, payload })).map_err(|_| SubmitError::Closed)?;
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let (reply, reply_rx) = channel::bounded(1);
+        tx.send(IngressMsg::Open { id, at: Instant::now(), reply, wave: None })
+            .map_err(|_| SubmitError::Closed)?;
         self.stats.streams_opened.inc();
         Ok(StreamHandle { engine: self, id, reply: reply_rx, got: None, finished: false })
     }
 
-    /// Current ingress queue depth (the batcher's backlog). The shard
-    /// router reads this to decide when to steal.
+    /// Current ingress queue depth (the dispatcher's backlog of one-shot
+    /// requests). The shard router reads this to decide when to steal.
     pub fn queue_depth(&self) -> u64 {
         self.stats.queue_depth.get()
     }
@@ -945,16 +1103,15 @@ pub struct StreamHandle<'a> {
 }
 
 impl StreamHandle<'_> {
-    /// The engine-assigned stream id (also the `request` field of the
-    /// stream's audit records).
+    /// The engine-assigned request id (also the `request` field of the
+    /// stream's audit record).
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    fn send(&self, payload: StreamPayload) -> Result<(), SubmitError> {
+    fn send(&self, msg: IngressMsg) -> Result<(), SubmitError> {
         let tx = self.engine.ingress.as_ref().ok_or(SubmitError::Closed)?;
-        tx.send(IngressMsg::Stream(StreamMsg { id: self.id, payload }))
-            .map_err(|_| SubmitError::Closed)
+        tx.send(msg).map_err(|_| SubmitError::Closed)
     }
 
     /// Feeds the next chunk of samples. Blocks while the ingress queue
@@ -966,7 +1123,7 @@ impl StreamHandle<'_> {
     /// [`push`](Self::push) without copying an already-shared buffer.
     pub fn push_arc(&mut self, samples: Arc<Vec<f32>>) -> Result<(), SubmitError> {
         self.engine.stats.stream_chunks.inc();
-        self.send(StreamPayload::Chunk { samples })
+        self.send(IngressMsg::Chunk { id: self.id, samples })
     }
 
     /// Returns the early verdict if one has fired. After this returns
@@ -981,10 +1138,11 @@ impl StreamHandle<'_> {
 
     /// Ends the stream and blocks for its verdict: the early one if the
     /// rule fired, otherwise the full end-of-stream detection (the only
-    /// place a stream can be judged `Benign`).
+    /// place a stream can be judged `Benign`). The stream's deadlines
+    /// start now.
     pub fn finish(mut self) -> Result<Verdict, SubmitError> {
         self.finished = true;
-        self.send(StreamPayload::Finish)?;
+        self.send(IngressMsg::Finish { id: self.id, at: Instant::now() })?;
         if let Some(verdict) = self.got.take() {
             return Ok(verdict);
         }
@@ -996,16 +1154,23 @@ impl Drop for StreamHandle<'_> {
     fn drop(&mut self) {
         if !self.finished {
             if let Some(tx) = self.engine.ingress.as_ref() {
-                // Best-effort: a full queue here leaks the worker-side
-                // stream state until engine shutdown, which is preferable
-                // to a Drop that can block.
-                let _ = tx.try_send(IngressMsg::Stream(StreamMsg {
-                    id: self.id,
-                    payload: StreamPayload::Finish,
-                }));
+                // Best-effort: a full queue here leaks the stream's state
+                // until engine shutdown, which is preferable to a Drop
+                // that can block.
+                let _ = tx.try_send(IngressMsg::Finish { id: self.id, at: Instant::now() });
             }
         }
     }
+}
+
+/// One recogniser's incremental state for one in-flight request.
+#[derive(Default)]
+struct Live {
+    stream: AsrStream,
+    /// Chunks pushed so far, counted identically by every worker so the
+    /// collector can align running transcripts across recognisers.
+    seq: u64,
+    busy_us: u64,
 }
 
 fn worker_loop(
@@ -1014,684 +1179,169 @@ fn worker_loop(
     work: Receiver<WorkItem>,
     out: Sender<CollectorMsg>,
 ) {
-    // One scratch plan per worker thread: after the first few batches every
-    // pipeline intermediate is served from these buffers, so steady-state
-    // batches allocate nothing on the hot path. Streams each carry their
-    // own incremental state (`AsrStream`) keyed by stream id; the `u64`
-    // alongside is the chunk seq, counted identically by every worker so
-    // the collector can align running transcripts across recognisers.
-    let mut scratch = AsrScratch::default();
-    let mut streams: HashMap<u64, (AsrStream, u64)> = HashMap::new();
+    // One `AsrStream` per in-flight request; finished ones go back on the
+    // free list, so their buffers keep their capacity and steady-state
+    // requests allocate nothing in the pipeline.
+    let mut live: HashMap<u64, Live> = HashMap::new();
+    let mut free: Vec<AsrStream> = Vec::new();
     for item in work.iter() {
-        match item {
-            WorkItem::Batch { batch_id, waves } => {
+        let msg = match item {
+            WorkItem::Chunk { id, samples, report_running } => {
+                let _span = mvp_obs::span!("serve.transcribe", id);
                 let started = Instant::now();
-                let texts = {
-                    let _span = mvp_obs::span!("serve.transcribe_batch", batch_id);
-                    let refs: Vec<&Waveform> = waves.iter().map(Arc::as_ref).collect();
-                    asr.transcribe_batch_with(&refs, &mut scratch)
-                };
-                let elapsed_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                let result = WorkResult { batch_id, asr_index, texts, elapsed_us };
-                if out.send(CollectorMsg::Result(result)).is_err() {
-                    return;
+                let state = live.entry(id).or_insert_with(|| Live {
+                    stream: free.pop().unwrap_or_default(),
+                    ..Live::default()
+                });
+                asr.stream_push_f32(&mut state.stream, samples.as_slice());
+                state.seq += 1;
+                let running = report_running.then(|| CollectorMsg::Running {
+                    id,
+                    asr_index,
+                    seq: state.seq,
+                    frames: state.stream.frames_decoded(),
+                    text: asr.stream_transcript(&state.stream),
+                });
+                state.busy_us += micros(started.elapsed());
+                match running {
+                    Some(msg) => msg,
+                    None => continue,
                 }
             }
-            WorkItem::StreamChunk { stream_id, samples, report_running } => {
-                let (stream, seq) = streams.entry(stream_id).or_default();
-                asr.stream_push_f32(stream, &samples);
-                *seq += 1;
-                if report_running {
-                    let msg = CollectorMsg::StreamRunning {
-                        stream_id,
-                        asr_index,
-                        seq: *seq,
-                        frames: stream.frames_decoded(),
-                        text: asr.stream_transcript(stream),
-                    };
-                    if out.send(msg).is_err() {
-                        return;
-                    }
-                }
-            }
-            WorkItem::StreamFinish { stream_id } => {
-                let (mut stream, _seq) = streams.remove(&stream_id).unwrap_or_default();
+            WorkItem::Finish { id } => {
+                let _span = mvp_obs::span!("serve.transcribe", id);
+                let started = Instant::now();
+                let Live { mut stream, busy_us, .. } = live.remove(&id).unwrap_or_default();
                 let text = asr.stream_finish(&mut stream);
-                if out.send(CollectorMsg::StreamFinal { stream_id, asr_index, text }).is_err() {
-                    return;
-                }
+                free.push(stream);
+                let busy_us = busy_us + micros(started.elapsed());
+                CollectorMsg::Final { id, asr_index, text, busy_us }
             }
+        };
+        if out.send(msg).is_err() {
+            return;
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn batcher_loop(
-    system: Arc<DetectionSystem>,
-    config: EngineConfig,
-    plan: Arc<ModalityPlan>,
+fn dispatcher_loop(
+    shared: Arc<Shared>,
     ingress: Receiver<IngressMsg>,
-    worker_txs: Vec<Sender<WorkItem>>,
-    collector_tx: Sender<CollectorMsg>,
-    cache: Option<SharedCache>,
-    stats: Arc<ServeStats>,
+    workers: Vec<Sender<WorkItem>>,
+    collector: Sender<CollectorMsg>,
 ) {
-    let n_rec = worker_txs.len();
-    let overall = Duration::from_millis(config.deadline_ms);
-    let max_delay = Duration::from_millis(config.max_delay_ms);
-    let mut next_batch_id = 0u64;
-    let mut pending: Vec<Request> = Vec::new();
-    let mut flush_at: Option<Instant> = None;
-
-    let flush = |pending: &mut Vec<Request>, next_batch_id: &mut u64| {
-        if pending.is_empty() {
-            return;
-        }
-        let batch_id = *next_batch_id;
-        *next_batch_id += 1;
-        let _span = mvp_obs::span!("serve.flush", batch_id);
-
-        let mut items: Vec<BatchItem> = Vec::new();
-        let mut waves: Vec<Arc<Waveform>> = Vec::new();
-        let mut index_of: HashMap<u64, usize> = HashMap::new();
-        let Some(first) = pending.first() else { return };
-        let mut earliest = first.submitted;
-        let n_requests = pending.len() as u64;
-        for Request { id, wave, key, submitted, queued_us, reply } in pending.drain(..) {
-            earliest = earliest.min(submitted);
-            let waiter = Waiter { id, reply, submitted, queued_us };
-            match index_of.get(&key).and_then(|&idx| items.get_mut(idx)) {
-                Some(item) => item.waiters.push(waiter),
-                None => {
-                    index_of.insert(key, items.len());
-                    waves.push(Arc::clone(&wave));
-                    items.push(BatchItem { key, wave, waiters: vec![waiter] });
-                }
-            }
-        }
-
-        let mut dispatched = vec![true; n_rec];
-        let mut deadlines = vec![earliest + overall; n_rec];
-        // Entry 0 is the target recogniser; per-auxiliary overrides
-        // start at index 1.
-        let aux = dispatched.iter_mut().skip(1).zip(deadlines.iter_mut().skip(1));
-        for (override_ms, (dispatch, deadline)) in config.aux_deadline_ms.iter().zip(aux) {
-            match override_ms {
-                Some(0) => *dispatch = false,
-                Some(ms) => {
-                    *deadline = earliest + Duration::from_millis((*ms).min(config.deadline_ms));
-                }
-                None => {}
-            }
-        }
-
-        stats.batches.inc();
-        stats.batched_requests.add(n_requests);
-
-        // Meta enters the collector queue before any worker can answer, so
-        // the collector always knows a batch before seeing its results.
-        let meta = BatchMeta { batch_id, items, dispatched: dispatched.clone(), deadlines };
-        if collector_tx.send(CollectorMsg::Meta(meta)).is_err() {
-            return;
-        }
-        for (tx, &dispatch) in worker_txs.iter().zip(&dispatched) {
-            if dispatch {
-                let _ = tx.send(WorkItem::Batch { batch_id, waves: waves.clone() });
+    let stats = &shared.stats;
+    // Work goes only to dispatched recognisers, in ingress order.
+    let fan_out = |item: &dyn Fn() -> WorkItem| {
+        for (tx, budget) in workers.iter().zip(&shared.budgets) {
+            if budget.is_some() {
+                let _ = tx.send(item());
             }
         }
     };
-
-    loop {
-        let received = match flush_at {
-            None => ingress.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(t) => ingress.recv_timeout(t.saturating_duration_since(Instant::now())),
-        };
-        match received {
-            Ok(IngressMsg::Detect(mut request)) => {
+    // The collector learns of a request before any worker can answer it.
+    let open = |state: RequestState| {
+        stats.batches.inc();
+        stats.batched_requests.inc();
+        collector.send(CollectorMsg::Open(state)).is_ok()
+    };
+    let report_running = shared.early_exit.is_some();
+    for msg in ingress.iter() {
+        match msg {
+            IngressMsg::Open { id, at, reply, wave } => {
+                let whole = wave.as_ref().map(|(wave, key)| (Arc::clone(wave), *key));
+                let state = shared.request(id, reply, at, wave);
+                let Some((wave, key)) = whole else {
+                    if !open(state) {
+                        return;
+                    }
+                    continue;
+                };
                 stats.queue_depth.dec();
-                request.queued_us =
-                    request.submitted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                if let Some(cached) = lookup(&cache, &request.key, &stats) {
-                    answer_cache_hit(&system, &plan, &request, &cached, &stats, &config.audit);
+                if let Some(cached) = shared.lookup(key) {
+                    let _span = mvp_obs::span!("serve.cache_hit", id);
+                    let texts = cached.iter().cloned().map(Some).collect();
+                    shared.answer(&state, texts, Source::Cache);
                     continue;
                 }
-                pending.push(request);
-                if pending.len() >= config.max_batch {
-                    flush(&mut pending, &mut next_batch_id);
-                    flush_at = None;
-                } else if flush_at.is_none() {
-                    flush_at = Some(Instant::now() + max_delay);
+                if !open(state) {
+                    return;
                 }
+                let samples = Samples::Whole(wave);
+                fan_out(&|| WorkItem::Chunk {
+                    id,
+                    samples: samples.clone(),
+                    report_running: false,
+                });
+                fan_out(&|| WorkItem::Finish { id });
             }
-            // Stream traffic is forwarded immediately, never batched: a
-            // chunk is one unit of work for every recogniser, and order
-            // within a stream is preserved by channel FIFO end to end.
-            Ok(IngressMsg::Stream(StreamMsg { id, payload })) => match payload {
-                StreamPayload::Open { reply, opened } => {
-                    let msg = CollectorMsg::StreamOpen { stream_id: id, reply, opened };
-                    if collector_tx.send(msg).is_err() {
-                        return;
-                    }
-                }
-                StreamPayload::Chunk { samples } => {
-                    let report_running = config.early_exit.is_some();
-                    for tx in &worker_txs {
-                        let item = WorkItem::StreamChunk {
-                            stream_id: id,
-                            samples: Arc::clone(&samples),
-                            report_running,
-                        };
-                        let _ = tx.send(item);
-                    }
-                }
-                StreamPayload::Finish => {
-                    for tx in &worker_txs {
-                        let _ = tx.send(WorkItem::StreamFinish { stream_id: id });
-                    }
-                }
-            },
-            Err(RecvTimeoutError::Timeout) => {
-                flush(&mut pending, &mut next_batch_id);
-                flush_at = None;
+            IngressMsg::Chunk { id, samples } => {
+                let samples = Samples::Chunk(samples);
+                fan_out(&|| WorkItem::Chunk { id, samples: samples.clone(), report_running });
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                flush(&mut pending, &mut next_batch_id);
-                return; // drops worker and collector senders
+            IngressMsg::Finish { id, at } => {
+                if collector.send(CollectorMsg::Finished { id, at }).is_err() {
+                    return;
+                }
+                fan_out(&|| WorkItem::Finish { id });
             }
         }
     }
+    // Ingress closed: dropping the worker and collector senders lets
+    // them drain what they hold and exit.
 }
 
-fn lookup(cache: &Option<SharedCache>, key: &u64, stats: &ServeStats) -> Option<TranscriptVec> {
-    let cache = cache.as_ref()?;
-    stats.cache_lookups.inc();
-    let hit = cache.with(|c| c.get(key).cloned());
-    if hit.is_some() {
-        stats.cache_hits.inc();
-    }
-    hit
-}
-
-/// Applies the modality plan to a full similarity verdict: upgrade to a
-/// fused verdict when every planned modality scored on a fused-capable
-/// engine, degrade to [`FallbackTier::SimilarityOnly`] when one missed
-/// its budget, or just attach the evidence reports otherwise.
-fn resolve_with_modalities(
-    system: &DetectionSystem,
-    plan: &ModalityPlan,
-    wave: &Waveform,
-    similarity_verdict: bool,
-    scores: &[f64],
-    target_text: &str,
-    submitted: Instant,
-    stats: &ServeStats,
-) -> (bool, VerdictKind, Vec<ModalityReport>, bool) {
-    if plan.is_empty() {
-        return (similarity_verdict, VerdictKind::Full, Vec::new(), false);
-    }
-    let reports = score_modalities(system, plan, wave, target_text, submitted, stats);
-    if !plan.fused_capable {
-        return (similarity_verdict, VerdictKind::Full, reports, false);
-    }
-    if reports.iter().all(|r| r.scored) {
-        let mut raw = scores.to_vec();
-        for report in &reports {
-            raw.extend_from_slice(&report.features);
-        }
-        let fused = system
-            .fused_classifier()
-            // mvp-lint: allow(panic-path) -- fused_capable is only set at engine start when the system carries a fused classifier
-            .expect("fused-capable plan implies a fused classifier");
-        return (fused.is_adversarial(&raw), VerdictKind::Full, reports, true);
-    }
-    (similarity_verdict, VerdictKind::Degraded(FallbackTier::SimilarityOnly), reports, false)
-}
-
-fn answer_cache_hit(
-    system: &DetectionSystem,
-    plan: &ModalityPlan,
-    request: &Request,
-    texts: &TranscriptVec,
-    stats: &ServeStats,
-    audit: &Option<Arc<AuditLog>>,
-) {
-    let _span = mvp_obs::span!("serve.cache_hit", request.id);
-    let (target, auxiliaries) = DetectionSystem::split_transcripts(texts.as_ref().clone());
-    let detection = system.detect_from_transcripts(target, auxiliaries);
-    let aux_texts: Vec<Option<String>> =
-        detection.auxiliary_transcriptions.iter().cloned().map(Some).collect();
-    let (is_adversarial, kind, modalities, fused) = resolve_with_modalities(
-        system,
-        plan,
-        &request.wave,
-        detection.is_adversarial,
-        &detection.scores,
-        &detection.target_transcription,
-        request.submitted,
-        stats,
-    );
-    let verdict = Verdict {
-        is_adversarial: Some(is_adversarial),
-        kind,
-        from_cache: true,
-        scores: detection.scores.into_iter().map(Some).collect(),
-        target_transcription: Some(detection.target_transcription),
-        modalities,
-        fused,
-        early_exit: false,
-        latency: request.submitted.elapsed(),
-    };
-    if matches!(verdict.kind, VerdictKind::Degraded(_)) {
-        stats.degraded.inc();
-    }
-    if verdict.fused {
-        stats.fused_verdicts.inc();
-    }
-    stats.latency.record(verdict.latency);
-    stats.completed.inc();
-    if let Some(audit) = audit {
-        let record =
-            verdict_record(request.id, None, &verdict, &aux_texts, None, request.queued_us, &[], 0);
-        let _ = audit.append(&record);
-    }
-    let _ = request.reply.send(verdict);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn collector_loop(
-    system: Arc<DetectionSystem>,
-    policy: Arc<DegradePolicy>,
-    plan: Arc<ModalityPlan>,
-    early: Option<EarlyExit>,
-    rx: Receiver<CollectorMsg>,
-    cache: Option<SharedCache>,
-    stats: Arc<ServeStats>,
-    audit: Option<Arc<AuditLog>>,
-) {
-    let mut batches: HashMap<u64, BatchState> = HashMap::new();
-    let mut streams: HashMap<u64, StreamState> = HashMap::new();
-    let n_rec = system.n_recognizers();
+fn collector_loop(shared: Arc<Shared>, rx: Receiver<CollectorMsg>) {
+    let mut requests: HashMap<u64, RequestState> = HashMap::new();
     loop {
-        let next_deadline = batches.values().filter_map(BatchState::next_deadline).min();
+        let next_deadline = requests.values().flat_map(|r| r.open_deadlines(&shared)).min();
         let received = match next_deadline {
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
             Some(t) => rx.recv_timeout(t.saturating_duration_since(Instant::now())),
         };
         match received {
-            Ok(CollectorMsg::Meta(meta)) => {
-                let n_rec = meta.dispatched.len();
-                batches.insert(
-                    meta.batch_id,
-                    BatchState {
-                        items: meta.items,
-                        dispatched: meta.dispatched,
-                        deadlines: meta.deadlines,
-                        results: (0..n_rec).map(|_| None).collect(),
-                        elapsed_us: vec![None; n_rec],
-                    },
-                );
+            Ok(CollectorMsg::Open(state)) => {
+                requests.insert(state.id, state);
             }
-            Ok(CollectorMsg::Result(result)) => {
-                if let Some(state) = batches.get_mut(&result.batch_id) {
-                    if let Some(slot) = state.results.get_mut(result.asr_index) {
-                        *slot = Some(result.texts);
-                    }
-                    if let Some(slot) = state.elapsed_us.get_mut(result.asr_index) {
-                        *slot = Some(result.elapsed_us);
-                    }
+            Ok(CollectorMsg::Finished { id, at }) => {
+                if let Some(state) = requests.get_mut(&id) {
+                    state.finished = Some(at);
                 }
             }
-            Ok(CollectorMsg::StreamOpen { stream_id, reply, opened }) => {
-                streams.insert(
-                    stream_id,
-                    StreamState {
-                        reply,
-                        opened,
-                        answered: false,
-                        collapsed: 0,
-                        evaluated_seq: 0,
-                        frames: vec![0; n_rec],
-                        running: vec![None; n_rec],
-                        finals: vec![None; n_rec],
-                    },
-                );
-            }
-            Ok(CollectorMsg::StreamRunning { stream_id, asr_index, seq, frames, text }) => {
-                if let Some(state) = streams.get_mut(&stream_id) {
-                    if let Some(slot) = state.frames.get_mut(asr_index) {
-                        *slot = frames;
-                    }
-                    if let Some(slot) = state.running.get_mut(asr_index) {
-                        *slot = Some((seq, text));
-                    }
-                    if !state.answered {
-                        if let Some(rule) = early {
-                            evaluate_stream(&system, rule, state, &stats, &audit, stream_id);
-                        }
-                    }
+            Ok(CollectorMsg::Running { id, asr_index, seq, frames, text }) => {
+                if let Some(state) = requests.get_mut(&id) {
+                    state.on_running(&shared, asr_index, seq, frames, text);
                 }
             }
-            Ok(CollectorMsg::StreamFinal { stream_id, asr_index, text }) => {
-                let done = match streams.get_mut(&stream_id) {
-                    Some(state) => {
-                        if let Some(slot) = state.finals.get_mut(asr_index) {
-                            *slot = Some(text);
-                        }
-                        state.finals.iter().all(Option::is_some)
+            Ok(CollectorMsg::Final { id, asr_index, text, busy_us }) => {
+                if let Some(state) = requests.get_mut(&id) {
+                    if let Some(slot) = state.finals.get_mut(asr_index) {
+                        *slot = Some(text);
                     }
-                    None => false,
-                };
-                if done {
-                    // mvp-lint: allow(panic-path) -- `done` was computed from this exact entry two lines up with no intervening removal
-                    let state = streams.remove(&stream_id).expect("finalized stream present");
-                    finalize_stream(&system, &stats, &audit, stream_id, state);
+                    if let Some(slot) = state.busy_us.get_mut(asr_index) {
+                        *slot = Some(busy_us);
+                    }
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
-            // Producers gone and their queue drained: every result that
-            // will ever arrive has arrived, so finalize what remains
-            // (missing slots count as missed) rather than waiting out
-            // deadlines, and answer any still-open stream with a Failed
-            // verdict so no ticket is left hanging.
+            // Producers gone and their queue drained: every transcript
+            // that will ever arrive has arrived, so answer what remains
+            // (missing transcripts count as missed; a stream that never
+            // finished fails) rather than waiting out deadlines.
             Err(RecvTimeoutError::Disconnected) => {
-                for (id, state) in batches.drain() {
-                    finalize(&system, &policy, &plan, &cache, &stats, &audit, id, state);
-                }
-                for (_, state) in streams.drain() {
-                    if !state.answered {
-                        let verdict = Verdict {
-                            is_adversarial: None,
-                            kind: VerdictKind::Failed,
-                            from_cache: false,
-                            scores: vec![None; n_rec - 1],
-                            target_transcription: None,
-                            modalities: Vec::new(),
-                            fused: false,
-                            early_exit: false,
-                            latency: state.opened.elapsed(),
-                        };
-                        stats.completed.inc();
-                        let _ = state.reply.send(verdict);
-                    }
+                for (_, state) in requests.drain() {
+                    shared.retire(state);
                 }
                 return;
             }
         }
         let now = Instant::now();
         let ready: Vec<u64> =
-            batches.iter().filter(|(_, s)| s.is_ready(now)).map(|(&id, _)| id).collect();
+            requests.iter().filter(|(_, r)| r.is_ready(&shared, now)).map(|(&id, _)| id).collect();
         for id in ready {
-            // mvp-lint: allow(panic-path) -- `id` was collected from `batches` two lines up with no intervening removal; absence is an engine bug, not request input
-            let state = batches.remove(&id).expect("ready batch present");
-            finalize(&system, &policy, &plan, &cache, &stats, &audit, id, state);
-        }
-    }
-}
-
-/// One early-exit evaluation over a stream's running transcripts. Runs
-/// once per chunk seq, after every recogniser has reported that seq; the
-/// mechanics mirror `mvp_ears::DetectionStream::evaluate` so serve-side
-/// and in-process streaming agree on when a verdict may fire early.
-fn evaluate_stream(
-    system: &DetectionSystem,
-    rule: EarlyExit,
-    state: &mut StreamState,
-    stats: &ServeStats,
-    audit: &Option<Arc<AuditLog>>,
-    stream_id: u64,
-) {
-    let mut seq = u64::MAX;
-    for report in &state.running {
-        match report {
-            Some((s, _)) => seq = seq.min(*s),
-            None => return,
-        }
-    }
-    if seq <= state.evaluated_seq {
-        return;
-    }
-    state.evaluated_seq = seq;
-    if state.frames.iter().copied().min().unwrap_or(0) < rule.min_frames {
-        return;
-    }
-    let target = state.running.first().and_then(Option::as_ref).map_or("", |(_, t)| t.as_str());
-    let auxiliaries: Vec<String> = state
-        .running
-        .iter()
-        .skip(1)
-        .map(|r| r.as_ref().map_or(String::new(), |(_, t)| t.clone()))
-        .collect();
-    let scores = system.scores_from_transcripts(target, &auxiliaries);
-    let mean = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
-    let collapsed = mean < rule.threshold - rule.margin && system.classify_scores(&scores);
-    state.collapsed = if collapsed { state.collapsed + 1 } else { 0 };
-    if state.collapsed < rule.horizon.max(1) {
-        return;
-    }
-    state.answered = true;
-    stats.stream_early_exits.inc();
-    let verdict = Verdict {
-        is_adversarial: Some(true),
-        kind: VerdictKind::Full,
-        from_cache: false,
-        scores: scores.into_iter().map(Some).collect(),
-        target_transcription: Some(target.to_string()),
-        modalities: Vec::new(),
-        fused: false,
-        early_exit: true,
-        latency: state.opened.elapsed(),
-    };
-    stats.latency.record(verdict.latency);
-    stats.completed.inc();
-    if let Some(audit) = audit {
-        let aux_texts: Vec<Option<String>> = auxiliaries.into_iter().map(Some).collect();
-        let record = verdict_record(stream_id, None, &verdict, &aux_texts, None, 0, &[], 0);
-        let _ = audit.append(&record);
-    }
-    let _ = state.reply.send(verdict);
-}
-
-/// Settles a stream whose every recogniser has flushed: the full
-/// end-of-stream detection — the only place a stream is judged benign.
-/// A stream already answered early only has its state reclaimed here.
-fn finalize_stream(
-    system: &DetectionSystem,
-    stats: &ServeStats,
-    audit: &Option<Arc<AuditLog>>,
-    stream_id: u64,
-    state: StreamState,
-) {
-    stats.streams_completed.inc();
-    if state.answered {
-        return;
-    }
-    let texts: Vec<String> = state.finals.into_iter().map(Option::unwrap_or_default).collect();
-    let (target, auxiliaries) = DetectionSystem::split_transcripts(texts);
-    let detection = system.detect_from_transcripts(target, auxiliaries);
-    let aux_texts: Vec<Option<String>> =
-        detection.auxiliary_transcriptions.iter().cloned().map(Some).collect();
-    let verdict = Verdict {
-        is_adversarial: Some(detection.is_adversarial),
-        kind: VerdictKind::Full,
-        from_cache: false,
-        scores: detection.scores.into_iter().map(Some).collect(),
-        target_transcription: Some(detection.target_transcription),
-        modalities: Vec::new(),
-        fused: false,
-        early_exit: false,
-        latency: state.opened.elapsed(),
-    };
-    stats.latency.record(verdict.latency);
-    stats.completed.inc();
-    if let Some(audit) = audit {
-        let record = verdict_record(stream_id, None, &verdict, &aux_texts, None, 0, &[], 0);
-        let _ = audit.append(&record);
-    }
-    let _ = state.reply.send(verdict);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    system: &DetectionSystem,
-    policy: &DegradePolicy,
-    plan: &ModalityPlan,
-    cache: &Option<SharedCache>,
-    stats: &ServeStats,
-    audit: &Option<Arc<AuditLog>>,
-    batch_id: u64,
-    state: BatchState,
-) {
-    let _span = mvp_obs::span!("serve.finalize", batch_id);
-    let started = Instant::now();
-    let n_rec = state.results.len();
-    let n_aux = n_rec - 1;
-    for (idx, item) in state.items.into_iter().enumerate() {
-        let target = state
-            .results
-            .first()
-            .and_then(Option::as_ref)
-            .and_then(|texts| texts.get(idx))
-            .cloned();
-        let (verdict, aux_texts) = match target {
-            None => (
-                Verdict {
-                    is_adversarial: None,
-                    kind: VerdictKind::Failed,
-                    from_cache: false,
-                    scores: vec![None; n_aux],
-                    target_transcription: None,
-                    modalities: Vec::new(),
-                    fused: false,
-                    early_exit: false,
-                    latency: Duration::ZERO,
-                },
-                vec![None; n_aux],
-            ),
-            Some(target) => {
-                let available: Vec<(usize, String)> = (0..n_aux)
-                    .filter_map(|j| {
-                        state
-                            .results
-                            .get(j + 1)
-                            .and_then(Option::as_ref)
-                            .and_then(|texts| texts.get(idx))
-                            .map(|t| (j, t.clone()))
-                    })
-                    .collect();
-                if available.len() == n_aux {
-                    let auxiliaries: Vec<String> = available.into_iter().map(|(_, t)| t).collect();
-                    let detection = system.detect_from_transcripts(target, auxiliaries);
-                    if let Some(cache) = cache {
-                        let mut vector = Vec::with_capacity(n_rec);
-                        vector.push(detection.target_transcription.clone());
-                        vector.extend(detection.auxiliary_transcriptions.iter().cloned());
-                        cache.with(|c| c.insert(item.key, Arc::new(vector)));
-                    }
-                    let aux_texts: Vec<Option<String>> =
-                        detection.auxiliary_transcriptions.iter().cloned().map(Some).collect();
-                    // Modality budgets run against the oldest waiter:
-                    // the request that has been waiting longest decides
-                    // how much patience the batch has left.
-                    let earliest =
-                        item.waiters.iter().map(|w| w.submitted).min().unwrap_or_else(Instant::now);
-                    let (is_adversarial, kind, modalities, fused) = resolve_with_modalities(
-                        system,
-                        plan,
-                        &item.wave,
-                        detection.is_adversarial,
-                        &detection.scores,
-                        &detection.target_transcription,
-                        earliest,
-                        stats,
-                    );
-                    (
-                        Verdict {
-                            is_adversarial: Some(is_adversarial),
-                            kind,
-                            from_cache: false,
-                            scores: detection.scores.into_iter().map(Some).collect(),
-                            target_transcription: Some(detection.target_transcription),
-                            modalities,
-                            fused,
-                            early_exit: false,
-                            latency: Duration::ZERO,
-                        },
-                        aux_texts,
-                    )
-                } else {
-                    let indices: Vec<usize> = available.iter().map(|&(j, _)| j).collect();
-                    let texts: Vec<String> = available.into_iter().map(|(_, t)| t).collect();
-                    let partial = system.scores_from_transcripts(&target, &texts);
-                    let pairs: Vec<(usize, f64)> =
-                        indices.iter().copied().zip(partial.iter().copied()).collect();
-                    let (is_adversarial, tier) = policy.classify(&pairs);
-                    let mut scores = vec![None; n_aux];
-                    let mut aux_texts: Vec<Option<String>> = vec![None; n_aux];
-                    for ((&j, &s), text) in indices.iter().zip(partial.iter()).zip(texts) {
-                        if let Some(slot) = scores.get_mut(j) {
-                            *slot = Some(s);
-                        }
-                        if let Some(slot) = aux_texts.get_mut(j) {
-                            *slot = Some(text);
-                        }
-                    }
-                    (
-                        Verdict {
-                            is_adversarial: Some(is_adversarial),
-                            kind: VerdictKind::Degraded(tier),
-                            from_cache: false,
-                            scores,
-                            target_transcription: Some(target),
-                            // An auxiliary already missed its deadline;
-                            // modality scoring would only add latency to
-                            // an answer the fused classifier cannot use.
-                            modalities: Vec::new(),
-                            fused: false,
-                            early_exit: false,
-                            latency: Duration::ZERO,
-                        },
-                        aux_texts,
-                    )
-                }
+            if let Some(state) = requests.remove(&id) {
+                shared.retire(state);
             }
-        };
-        // The mean-score threshold makes MeanThreshold verdicts
-        // reconstructible from the audit record alone.
-        let threshold = match verdict.kind {
-            VerdictKind::Degraded(FallbackTier::MeanThreshold) => policy.mean_threshold(),
-            _ => None,
-        };
-        for waiter in item.waiters {
-            let mut verdict = verdict.clone();
-            verdict.latency = waiter.submitted.elapsed();
-            match verdict.kind {
-                VerdictKind::Failed => {
-                    stats.deadline_failures.inc();
-                }
-                VerdictKind::Degraded(_) => {
-                    stats.degraded.inc();
-                }
-                VerdictKind::Full => {}
-            }
-            if verdict.fused {
-                stats.fused_verdicts.inc();
-            }
-            stats.latency.record(verdict.latency);
-            stats.completed.inc();
-            if let Some(audit) = audit {
-                let record = verdict_record(
-                    waiter.id,
-                    Some(batch_id),
-                    &verdict,
-                    &aux_texts,
-                    threshold,
-                    waiter.queued_us,
-                    &state.elapsed_us,
-                    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                );
-                let _ = audit.append(&record);
-            }
-            let _ = waiter.reply.send(verdict);
         }
     }
 }

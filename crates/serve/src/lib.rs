@@ -7,15 +7,20 @@
 //!
 //! - a **bounded ingress queue** — overload sheds requests at the door
 //!   ([`SubmitError::Overloaded`]) instead of collapsing latency;
-//! - **persistent workers**, one pinned to each recogniser, fed whole
-//!   micro-batches over channels (no per-call thread spawn);
-//! - **micro-batching** — requests are grouped until `max_batch` or
-//!   `max_delay_ms`, amortising per-call overhead and deduplicating
-//!   identical waveforms within a batch;
+//! - **one request path** — every request is a stream: a one-shot
+//!   [`submit`](DetectionEngine::submit) opens one, pushes the whole
+//!   waveform as a single chunk (shared, not copied) and finishes it, and
+//!   one function builds every verdict (deadline → degrade ladder →
+//!   modalities → fused classifier → cache insert → audit → reply);
+//! - **persistent workers**, one pinned to each recogniser, each holding
+//!   one recycled incremental `AsrStream` per in-flight request (no
+//!   per-call thread spawn, no steady-state pipeline allocation);
 //! - a **content-addressed LRU cache** of transcription vectors — an
 //!   exact waveform replay skips every ASR;
-//! - **per-request deadlines with graceful degradation** — an auxiliary
-//!   that misses its deadline is dropped from the score vector and a
+//! - **per-request deadlines with graceful degradation** — counted from
+//!   the request's finish (a one-shot request finishes at submit), so
+//!   streams and one-shot requests are treated alike; an auxiliary that
+//!   misses its deadline is dropped from the score vector and a
 //!   [`DegradePolicy`] fallback ladder still answers;
 //! - [`ServeStats`] — throughput counters, queue-depth gauge, latency
 //!   percentiles and cache hit rate, snapshot at any time, all backed by
@@ -29,8 +34,10 @@
 //! - **chunked ingress** — [`DetectionEngine::submit_stream`] feeds the
 //!   same workers one chunk at a time through a [`StreamHandle`]; with an
 //!   [`EngineConfig::early_exit`] rule the collector can answer
-//!   `Adversarial` before end-of-stream, and with it off the chunked
-//!   verdict is byte-identical to the one-shot one;
+//!   `Adversarial` before end-of-stream (judging each chunk only once
+//!   every recogniser has reported it), and with it off the chunked
+//!   verdict is byte-identical to the one-shot one. Streams skip the
+//!   cache and the modalities: their audio is never retained;
 //! - a **shard router** — [`ShardRouter`] runs N engines behind a
 //!   content-hash router (cache affinity per shard) with work-stealing
 //!   when a shard's queue backs up, per-shard metrics, and steal

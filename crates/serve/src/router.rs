@@ -42,7 +42,7 @@ use crate::stats::StatsSnapshot;
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Number of engine shards. Each runs its own batcher, workers,
+    /// Number of engine shards. Each runs its own dispatcher, workers,
     /// collector, and transcription cache.
     pub n_shards: usize,
     /// Home-shard ingress backlog (queue depth) at which a submission

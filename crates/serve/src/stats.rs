@@ -38,9 +38,10 @@ pub struct ServeStats {
     pub cache_poison_recovered: Counter,
     /// Current ingress queue depth.
     pub queue_depth: Gauge,
-    /// Batches dispatched to workers.
+    /// Worker dispatches: one per request the workers compute (every
+    /// cache miss and every stream).
     pub batches: Counter,
-    /// Total requests across dispatched batches (for mean batch size).
+    /// Requests across worker dispatches (for the mean dispatch size).
     pub batched_requests: Counter,
     /// Modality evaluations completed (one per modality per request).
     pub modality_scored: Counter,
@@ -82,9 +83,9 @@ impl ServeStats {
                 "poisoned cache locks recovered after a worker panic",
             ),
             queue_depth: registry.gauge("serve_queue_depth", "current ingress queue depth"),
-            batches: registry.counter("serve_batches_total", "micro-batches dispatched"),
+            batches: registry.counter("serve_batches_total", "worker dispatches"),
             batched_requests: registry
-                .counter("serve_batched_requests_total", "requests across dispatched batches"),
+                .counter("serve_batched_requests_total", "requests across worker dispatches"),
             modality_scored: registry
                 .counter("serve_modality_scored_total", "modality evaluations completed"),
             modality_budget_missed: registry.counter(
@@ -181,9 +182,10 @@ pub struct StatsSnapshot {
     pub cache_poison_recovered: u64,
     /// Ingress queue depth at snapshot time.
     pub queue_depth: u64,
-    /// Batches dispatched.
+    /// Worker dispatches.
     pub batches: u64,
-    /// Mean requests per dispatched batch.
+    /// Mean requests per worker dispatch (1 since every request is its
+    /// own stream; 0 before the first dispatch).
     pub mean_batch_size: f64,
     /// Modality evaluations completed.
     pub modality_scored: u64,

@@ -1,7 +1,7 @@
-//! End-to-end tests for the engine's per-auxiliary precision mix
-//! (`EngineConfig::aux_int8`): a marked auxiliary's worker runs the
-//! profile's int8 quantized variant, and the verdict matches in-process
-//! detection with that variant as an ensemble member.
+//! End-to-end tests for precision-mixed ensembles on the engine: a
+//! system built with an int8 auxiliary
+//! (`DetectionSystemBuilder::auxiliary_variant`) serves verdicts that
+//! match in-process detection on the same system bit for bit.
 
 use std::sync::Arc;
 
@@ -24,23 +24,22 @@ fn speech() -> mvp_audio::Waveform {
 }
 
 #[test]
-fn aux_int8_swaps_the_worker_to_the_quantized_variant() {
-    // Reference: in-process detection with DS1@int8 as the auxiliary.
-    let mut reference = DetectionSystem::builder(AsrProfile::Ds0)
+fn int8_auxiliary_variant_serves_like_in_process_detection() {
+    // One system with DS1@int8 as its auxiliary, served and in-process:
+    // the engine's worker for that auxiliary runs the quantized model it
+    // was handed, so the verdicts must agree bit for bit.
+    let mut system = DetectionSystem::builder(AsrProfile::Ds0)
         .auxiliary_variant(PrecisionVariant::int8(AsrProfile::Ds1))
         .build();
-    train(&mut reference);
-    let wave = speech();
-    let expected = reference.detect(&wave);
-
-    // Engine: the *full-precision* system, with the mix requesting int8
-    // for auxiliary 0. Quantization is deterministic, so the served
-    // verdict must match the in-process one bit for bit.
-    let mut system = DetectionSystem::builder(AsrProfile::Ds0).auxiliary(AsrProfile::Ds1).build();
     train(&mut system);
+    let system = Arc::new(system);
+    assert_eq!(system.auxiliaries()[0].precision(), "int8");
+    let wave = speech();
+    let expected = system.detect(&wave);
+
     let policy = DegradePolicy::untrained(system.n_auxiliaries());
-    let config = EngineConfig { aux_int8: vec![true], cache_cap: 0, ..EngineConfig::default() };
-    let engine = DetectionEngine::start(Arc::new(system), policy, config);
+    let config = EngineConfig { cache_cap: 0, ..EngineConfig::default() };
+    let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
     let verdict = engine.detect_blocking(wave).unwrap();
     engine.shutdown();
 
@@ -70,14 +69,4 @@ fn empty_precision_mix_serves_full_precision() {
     engine.shutdown();
     let scores: Vec<Option<f64>> = expected.scores.iter().map(|&s| Some(s)).collect();
     assert_eq!(verdict.scores, scores);
-}
-
-#[test]
-#[should_panic(expected = "aux_int8")]
-fn oversized_precision_mix_is_rejected() {
-    let mut system = DetectionSystem::builder(AsrProfile::Ds0).auxiliary(AsrProfile::Ds1).build();
-    train(&mut system);
-    let policy = DegradePolicy::untrained(system.n_auxiliaries());
-    let config = EngineConfig { aux_int8: vec![true, true], ..EngineConfig::default() };
-    let _ = DetectionEngine::start(Arc::new(system), policy, config);
 }

@@ -102,11 +102,11 @@ proptest! {
     }
 }
 
-/// Hit fidelity: a cached transcription vector equals what the
-/// recognisers would produce for that exact waveform. Uses genuinely
-/// random audio (not speech) — the property must hold for arbitrary
-/// sample content.
 proptest! {
+    /// Hit fidelity: a cached transcription vector equals what the
+    /// recognisers would produce for that exact waveform. Uses genuinely
+    /// random audio (not speech) — the property must hold for arbitrary
+    /// sample content.
     #[test]
     fn hit_returns_what_the_asr_would_produce(
         samples in vec(-0.5f32..0.5, 160..800),

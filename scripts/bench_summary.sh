@@ -52,7 +52,7 @@ def summarize(path, doc):
     elif name == "BENCH_dataplane.json" and "per_call_rps" in doc:
         add("dataplane", "transcription",
             f"{doc['per_call_rps']:.0f} rps per-call, "
-            f"{doc.get('batch_scratch_rps', 0):.0f} rps batched, "
+            f"{doc.get('reused_stream_rps', doc.get('batch_scratch_rps', 0)):.0f} rps reused stream, "
             f"kernels {doc.get('kernel_speedup', 0):.2f}x scalar")
     elif name == "BENCH_modality.json" and "fused_auc" in doc:
         add("modality", "AUC",

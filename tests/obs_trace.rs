@@ -45,8 +45,7 @@ fn serve_path_emits_a_valid_span_forest() {
     // Every stage of the serving pipeline shows up.
     for name in [
         "serve.submit",
-        "serve.flush",
-        "serve.transcribe_batch",
+        "serve.transcribe",
         "serve.finalize",
         "serve.cache_hit",
         "asr.features",
@@ -66,5 +65,5 @@ fn serve_path_emits_a_valid_span_forest() {
     // The forest renders with one line per span.
     let tree = trace::render_tree(&events);
     assert_eq!(tree.lines().count(), events.len());
-    assert!(tree.contains("serve.transcribe_batch"));
+    assert!(tree.contains("serve.transcribe"));
 }

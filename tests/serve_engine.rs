@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use mvp_ears_suite::asr::{Asr, AsrProfile, AsrScratch};
+use mvp_ears_suite::asr::{AsrProfile, AsrStream};
 use mvp_ears_suite::audio::Waveform;
 use mvp_ears_suite::corpus::{CorpusBuilder, CorpusConfig};
 use mvp_ears_suite::ears::DetectionSystem;
@@ -63,8 +63,6 @@ fn engine_verdicts_match_one_shot_detection() {
 
     let policy = DegradePolicy::untrained(system.n_auxiliaries());
     let config = EngineConfig {
-        max_batch: 4,
-        max_delay_ms: 2,
         deadline_ms: 60_000, // no deadline may fire in this test
         ..EngineConfig::default()
     };
@@ -206,18 +204,23 @@ fn warm_start_round_trips_through_the_model_dir() {
 }
 
 #[test]
-fn batch_scratch_reuse_is_byte_identical_to_one_shot() {
-    // The serve workers hold one scratch plan for their whole lifetime;
-    // reusing it across batches must never leak state between requests.
+fn stream_reuse_is_byte_identical_to_one_shot() {
+    // The serve workers recycle one AsrStream per in-flight request for
+    // their whole lifetime; reusing it across requests must never leak
+    // state between them.
     let asr = AsrProfile::Ds0.trained();
     let waves = test_waves(2);
-    let refs: Vec<&Waveform> = waves.iter().map(Arc::as_ref).collect();
 
-    let one_shot: Vec<String> = refs.iter().map(|w| asr.transcribe(w)).collect();
+    let one_shot: Vec<String> =
+        waves.iter().map(|w| asr.decoder().decode(&asr.logits(w))).collect();
 
-    let mut scratch = AsrScratch::default();
-    let first = asr.transcribe_batch_with(&refs, &mut scratch);
-    let second = asr.transcribe_batch_with(&refs, &mut scratch);
-    assert_eq!(first, one_shot, "fresh scratch must match the allocating path");
-    assert_eq!(second, one_shot, "reused scratch must match the allocating path");
+    let mut stream = AsrStream::default();
+    let mut reused = |w: &Waveform| {
+        asr.stream_push_f32(&mut stream, w.samples());
+        asr.stream_finish(&mut stream)
+    };
+    let first: Vec<String> = waves.iter().map(|w| reused(w)).collect();
+    let second: Vec<String> = waves.iter().map(|w| reused(w)).collect();
+    assert_eq!(first, one_shot, "fresh stream must match the full-matrix decode");
+    assert_eq!(second, one_shot, "reused stream must match the full-matrix decode");
 }

@@ -243,26 +243,51 @@ fn early_exit_never_fires_benign_before_end_of_stream() {
 }
 
 #[test]
-fn wait_timeout_returns_the_ticket_then_the_verdict() {
-    let system = trained_system();
-    let policy = DegradePolicy::untrained(system.n_auxiliaries());
+fn streams_degrade_and_skip_early_exit_when_an_auxiliary_is_disabled() {
+    // The rule would fire on every chunk of this always-adversarial
+    // system, but with auxiliary 0 disabled there is no full running
+    // vector to judge: the stream waits for finish and, like a one-shot
+    // request, is answered by the degrade ladder.
+    let system = always_adversarial_system();
+    let n_aux = system.n_auxiliaries();
+    let (benign, aes) = training_scores(n_aux);
+    let policy = DegradePolicy::trained(n_aux, &benign, &aes, ClassifierKind::Knn, 0.05);
     let config = EngineConfig {
-        // A lone request sits in the batcher for the full delay window,
-        // so a short timeout reliably expires first.
-        max_batch: 16,
-        max_delay_ms: 1_000,
+        early_exit: Some(EarlyExit { threshold: 2.0, margin: 0.0, horizon: 1, min_frames: 1 }),
+        aux_deadline_ms: vec![Some(0)],
         ..no_deadline_config()
     };
     let engine = DetectionEngine::start(Arc::clone(&system), policy, config);
 
+    let mut rng = StdRng::seed_from_u64(5);
+    let samples: Vec<f32> = (0..8_000).map(|_| rng.gen_range(-0.4f32..0.4)).collect();
+    let verdict = stream_in_chunks(&engine, &Waveform::from_samples(samples, 16_000), &[1_600]);
+    assert!(!verdict.early_exit, "early exit needs every recogniser");
+    assert!(matches!(verdict.kind, VerdictKind::Degraded(_)), "got {:?}", verdict.kind);
+    assert!(verdict.scores[0].is_none(), "the disabled auxiliary never scores");
+    assert_eq!(engine.stats().stream_early_exits, 0);
+    engine.shutdown();
+}
+
+#[test]
+fn wait_timeout_returns_the_ticket_then_the_verdict() {
+    let system = trained_system();
+    let policy = DegradePolicy::untrained(system.n_auxiliaries());
+    let engine = DetectionEngine::start(Arc::clone(&system), policy, no_deadline_config());
+
     let corpus =
         CorpusBuilder::new(CorpusConfig { size: 1, seed: 913, ..CorpusConfig::default() }).build();
-    let wave = Arc::new(corpus.utterances()[0].wave.clone());
+    // Eight back-to-back copies of the utterance: every recogniser has
+    // many milliseconds of transcription ahead of it, so a 1 ms timeout
+    // reliably expires first.
+    let utterance = &corpus.utterances()[0].wave;
+    let samples: Vec<f32> = (0..8).flat_map(|_| utterance.samples().iter().copied()).collect();
+    let wave = Arc::new(Waveform::from_samples(samples, utterance.sample_rate()));
 
     let pending = engine.submit(Arc::clone(&wave)).expect("queue has room");
     let pending = pending
-        .wait_timeout(Duration::from_millis(50))
-        .expect_err("verdict cannot be ready inside the batcher delay window");
+        .wait_timeout(Duration::from_millis(1))
+        .expect_err("verdict cannot be ready before the recognisers finish");
     // The returned ticket is still live: a blocking wait completes.
     let verdict = pending.wait();
     assert_eq!(verdict.kind, VerdictKind::Full);
