@@ -5,7 +5,8 @@
 //!    bit-exactly where the kernel preserves the oracle's operation
 //!    order (mel, DCT, axpy), within documented reassociation slack for
 //!    the 4-lane reductions (dot/GEMM), and within O(n·ε) for the
-//!    real-input FFT against the full complex transform.
+//!    real-input FFT against the full complex transform (whose fused
+//!    power entry must equal `|forward|²` bit for bit).
 //! 2. **Timing**: end-to-end tiny-scale transcription with the tuned
 //!    kernels must not be slower than the scalar-oracle path (10%
 //!    tolerance absorbs scheduler noise) — a vectorized kernel that
@@ -91,8 +92,9 @@ fn parity_gate() -> Result<(), String> {
         }
     }
 
-    // rfft: half-size packed transform vs the full complex FFT.
-    for n in [2usize, 8, 64, 512] {
+    // rfft: half-size packed transform vs the full complex FFT, at both
+    // parities of log2(n/2) (radix-2 first stage or pure radix-4).
+    for n in [2usize, 8, 64, 512, 1024] {
         let plan = RfftPlan::new(n);
         let mut scratch = RfftScratch::default();
         let mut signal = vec![0.0; n];
@@ -105,6 +107,14 @@ fn parity_gate() -> Result<(), String> {
             let err = (z.re - full[i].re).abs().max((z.im - full[i].im).abs());
             if err > 1e-9 {
                 return Err(format!("rfft parity at n={n} bin {i}: err {err:e}"));
+            }
+        }
+        // The fused power entry must reproduce |forward|^2 bit for bit.
+        let mut power = vec![0.0; n / 2 + 1];
+        plan.forward_power(&signal, &mut scratch, &mut power);
+        for (i, (p, z)) in power.iter().zip(&spec).enumerate() {
+            if p.to_bits() != z.norm_sq().to_bits() {
+                return Err(format!("rfft power != |forward|^2 at n={n} bin {i}"));
             }
         }
         // Round trip through the inverse.

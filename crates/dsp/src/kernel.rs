@@ -26,8 +26,11 @@
 //! | [`quantize_i8`]                | bit-exact (saturating float→int cast |
 //! |                                | equals the oracle's checked clamp on |
 //! |                                | every input, `NaN → 0` included)     |
-//! | [`RfftPlan`]                   | different algorithm (half-size       |
-//! |                                | complex FFT); error `O(n·ε)`         |
+//! | [`RfftPlan`]                   | different algorithm (planned radix-4 |
+//! |                                | half-size FFT); error `O(n·ε)`.      |
+//! |                                | `forward_power` is bit-exact against |
+//! |                                | `forward` then `norm_sq` (same       |
+//! |                                | unpack, only the store differs)      |
 //!
 //! `gemm_nt` tiles over rows and columns only — it never splits the
 //! inner `k` dimension — so `gemm_nt`, `gemv` and `dot` agree *bitwise*
@@ -556,24 +559,44 @@ where
 /// Reusable buffers for [`RfftPlan`]; one per thread of frame work.
 #[derive(Debug, Clone, Default)]
 pub struct RfftScratch {
-    /// Half-size complex buffer for the packed transform.
-    half: Vec<Complex>,
+    /// Real and imaginary parts of the half-size packed transform, kept
+    /// in separate arrays so each butterfly stage runs lane-parallel.
+    re: Vec<f64>,
+    im: Vec<f64>,
     /// Full-size buffer, used only by the scalar-oracle fallback.
     full: Vec<Complex>,
 }
 
 /// A planned real-input FFT of size `n`: forward analysis to the
-/// one-sided spectrum (`n/2 + 1` bins), Hermitian synthesis back to a
-/// real signal, and the normalised inverse.
+/// one-sided spectrum (`n/2 + 1` bins), its power `|S[k]|²`, Hermitian
+/// synthesis back to a real signal, and the normalised inverse.
 ///
 /// Packs the `n` reals into an `n/2` complex vector, runs a half-size
 /// FFT and unpacks with a precomputed twiddle table — half the
 /// butterfly work of the full complex transform the scalar oracle runs.
+/// Everything that does not depend on the input is computed once here:
+/// the bit-reversal permutation and one twiddle table per butterfly
+/// stage. The half-size transform is decimation-in-time with radix-4
+/// stages (plus one radix-2 stage when `log₂(n/2)` is odd). Its first
+/// stage is twiddle-free and gathers its inputs straight from the
+/// caller's samples (or, for synthesis, from the re-packed spectrum), so
+/// no separate pack or permute pass runs. Synthesis runs the same stages
+/// with conjugated twiddles.
 #[derive(Debug, Clone)]
 pub struct RfftPlan {
     n: usize,
-    /// `tw[k] = e^{-2πik/n}` for `k = 0..=n/2`.
+    /// `tw[k] = e^{-2πik/n}` for `k = 0..=n/2`: the pack/unpack twiddles.
     tw: Vec<Complex>,
+    /// `rev[i]` is `i` with its `log₂(n/2)` bits reversed: the half-size
+    /// transform's input order.
+    rev: Vec<usize>,
+    /// Whether the first stage is radix-2 (`log₂(n/2)` odd) or radix-4.
+    radix2_first: bool,
+    /// Twiddles of the radix-4 stages after the first, concatenated in
+    /// stage order. The stage with quarter length `q` holds `6q` values,
+    /// the real then the imaginary parts of `w^k`, `w^2k` and `w^3k`,
+    /// `w = e^{-2πi/4q}`, each for `k = 0..q`.
+    stage_tw: Vec<f64>,
 }
 
 impl RfftPlan {
@@ -586,7 +609,24 @@ impl RfftPlan {
         assert!(n.is_power_of_two(), "FFT length {n} must be a power of two");
         let tau = 2.0 * std::f64::consts::PI;
         let tw = (0..=n / 2).map(|k| Complex::from_angle(-tau * k as f64 / n as f64)).collect();
-        RfftPlan { n, tw }
+        let half = (n / 2).max(1);
+        let bits = half.trailing_zeros();
+        let rev = (0..half)
+            .map(|i| if bits == 0 { 0 } else { i.reverse_bits() >> (usize::BITS - bits) })
+            .collect();
+        let radix2_first = bits % 2 == 1;
+        let mut stage_tw = Vec::new();
+        let mut q = if radix2_first { 2 } else { 4 };
+        while q < half {
+            let m = (4 * q) as f64;
+            for j in 1..=3 {
+                let w = |k: usize| Complex::from_angle(-tau * (j * k) as f64 / m);
+                stage_tw.extend((0..q).map(|k| w(k).re));
+                stage_tw.extend((0..q).map(|k| w(k).im));
+            }
+            q *= 4;
+        }
+        RfftPlan { n, tw, rev, radix2_first, stage_tw }
     }
 
     /// Transform size.
@@ -614,37 +654,134 @@ impl RfftPlan {
         );
         assert_eq!(out.len(), self.n_bins(), "one-sided spectrum length mismatch");
         if scalar_forced() {
-            let full = &mut scratch.full;
-            full.resize(self.n, Complex::ZERO);
-            for (i, z) in full.iter_mut().enumerate() {
-                *z = Complex::new(signal.get(i).copied().unwrap_or(0.0), 0.0);
-            }
-            fft::fft(full);
-            out.copy_from_slice(&full[..self.n_bins()]);
+            out.copy_from_slice(&self.oracle_forward(signal, scratch)[..self.n_bins()]);
             return;
         }
+        self.analyse(signal, scratch, out, |s| s);
+    }
+
+    /// Power spectrum of `signal` zero-padded to `n`: `out[k] = |S[k]|²`
+    /// for the one-sided bins `k = 0..=n/2`, without writing the complex
+    /// spectrum anywhere. Every bin is bit-identical to
+    /// `forward(signal)[k].norm_sq()`: both entries run the same unpack
+    /// expression and differ only in what they store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal.len() > n` or `out.len() != n_bins()`.
+    pub fn forward_power(&self, signal: &[f64], scratch: &mut RfftScratch, out: &mut [f64]) {
+        assert!(
+            signal.len() <= self.n,
+            "signal length {} exceeds FFT size {}",
+            signal.len(),
+            self.n
+        );
+        assert_eq!(out.len(), self.n_bins(), "one-sided power length mismatch");
+        if scalar_forced() {
+            let full = self.oracle_forward(signal, scratch);
+            for (p, z) in out.iter_mut().zip(full.iter()) {
+                *p = z.norm_sq();
+            }
+            return;
+        }
+        self.analyse(signal, scratch, out, Complex::norm_sq);
+    }
+
+    /// Scalar oracle: the full complex FFT of the zero-padded signal.
+    fn oracle_forward<'s>(&self, signal: &[f64], scratch: &'s mut RfftScratch) -> &'s [Complex] {
+        let full = &mut scratch.full;
+        full.resize(self.n, Complex::ZERO);
+        for (i, z) in full.iter_mut().enumerate() {
+            *z = Complex::new(signal.get(i).copied().unwrap_or(0.0), 0.0);
+        }
+        fft::fft(full);
+        full
+    }
+
+    /// The tuned forward path shared by [`forward`](Self::forward) and
+    /// [`forward_power`](Self::forward_power): packed half-size transform,
+    /// then the unpack, passing each bin `S[k]` through `store`.
+    fn analyse<T>(
+        &self,
+        signal: &[f64],
+        scratch: &mut RfftScratch,
+        out: &mut [T],
+        store: impl Fn(Complex) -> T,
+    ) {
         if self.n == 1 {
-            out[0] = Complex::new(signal.first().copied().unwrap_or(0.0), 0.0);
+            out[0] = store(Complex::new(signal.first().copied().unwrap_or(0.0), 0.0));
             return;
         }
         let half = self.n / 2;
-        let buf = &mut scratch.half;
-        buf.resize(half, Complex::ZERO);
-        let s = |t: usize| if t < signal.len() { signal[t] } else { 0.0 };
-        for (j, z) in buf.iter_mut().enumerate() {
-            *z = Complex::new(s(2 * j), s(2 * j + 1));
-        }
-        fft::fft(buf);
+        // z[j] = x[2j] + i·x[2j+1], with the zero padding read in place.
+        let s = |t: usize| signal.get(t).copied().unwrap_or(0.0);
+        let (re, im) =
+            self.half_transform::<false>(scratch, |j| Complex::new(s(2 * j), s(2 * j + 1)));
         // S[k] = Ze[k] + e^{-2πik/n}·Zo[k], where Ze/Zo are the DFTs of
         // the even/odd samples recovered from the packed transform Z.
-        for (k, o) in out.iter_mut().enumerate() {
-            let zk = buf[k % half];
-            let zr = buf[(half - k) % half].conj();
+        // DC and Nyquist both come from Z[0] and are real.
+        out[0] = store(Complex::new(re[0] + im[0], 0.0));
+        out[half] = store(Complex::new(re[0] - im[0], 0.0));
+        // Interior bins pair Z[k] with Z[half − k].
+        let zk = re[1..].iter().zip(&im[1..]);
+        let mirrored = re[1..].iter().rev().zip(im[1..].iter().rev());
+        for ((o, ((&kr, &ki), (&mr, &mi))), &tw) in
+            out[1..half].iter_mut().zip(zk.zip(mirrored)).zip(&self.tw[1..])
+        {
+            let zk = Complex::new(kr, ki);
+            let zr = Complex::new(mr, -mi);
             let ze = (zk + zr).scale(0.5);
             let d = zk - zr;
             let zo = Complex::new(d.im * 0.5, -d.re * 0.5); // (zk − zr) / 2i
-            *o = ze + self.tw[k] * zo;
+            *o = store(ze + tw * zo);
         }
+    }
+
+    /// Unnormalised complex DFT of size `n/2` (sign `−` for analysis,
+    /// `+` with `INV`) into the scratch's real/imaginary arrays, which it
+    /// returns. It reads its input through `load(j)`, the `j`-th input
+    /// element in natural order. The first stage gathers in bit-reversed
+    /// order and needs no twiddles; every later stage is radix-4 over the
+    /// plan's tables.
+    fn half_transform<'s, const INV: bool>(
+        &self,
+        scratch: &'s mut RfftScratch,
+        load: impl Fn(usize) -> Complex,
+    ) -> (&'s [f64], &'s [f64]) {
+        let half = self.rev.len();
+        let (re, im) = (&mut scratch.re, &mut scratch.im);
+        re.resize(half, 0.0);
+        im.resize(half, 0.0);
+        let put = |re: &mut [f64], im: &mut [f64], ys: &[Complex]| {
+            for ((r, i), y) in re.iter_mut().zip(im.iter_mut()).zip(ys) {
+                (*r, *i) = (y.re, y.im);
+            }
+        };
+        if half == 1 {
+            put(re, im, &[load(0)]);
+        } else if self.radix2_first {
+            let blocks = re.chunks_exact_mut(2).zip(im.chunks_exact_mut(2));
+            for ((br, bi), r) in blocks.zip(self.rev.chunks_exact(2)) {
+                let (a, b) = (load(r[0]), load(r[1]));
+                put(br, bi, &[a + b, a - b]);
+            }
+        } else {
+            let blocks = re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4));
+            for ((br, bi), r) in blocks.zip(self.rev.chunks_exact(4)) {
+                put(br, bi, &butterfly4::<INV>(load(r[0]), load(r[2]), load(r[1]), load(r[3])));
+            }
+        }
+        let mut q = if self.radix2_first { 2 } else { 4 };
+        let mut tw = &self.stage_tw[..];
+        while q < half {
+            let (stage, rest) = tw.split_at(6 * q);
+            for (br, bi) in re.chunks_exact_mut(4 * q).zip(im.chunks_exact_mut(4 * q)) {
+                radix4_block::<INV>(br, bi, stage);
+            }
+            tw = rest;
+            q *= 4;
+        }
+        (re, im)
     }
 
     /// Hermitian synthesis `y[t] = Σ_{k=0}^{n-1} W̃_k e^{-2πikt/n}`,
@@ -713,24 +850,87 @@ impl RfftPlan {
             return;
         }
         let half = self.n / 2;
-        let buf = &mut scratch.half;
-        buf.resize(half, Complex::ZERO);
         // Re-pack the one-sided spectrum into the half-size transform
-        // whose inverse interleaves to the even/odd output samples.
-        for (k, z) in buf.iter_mut().enumerate() {
+        // whose inverse interleaves to the even/odd output samples; the
+        // first stage gathers each packed bin as it needs it.
+        let (re, im) = self.half_transform::<true>(scratch, |k| {
             let a = c(spec[k]);
             let b = c(spec[half - k]).conj();
             let ze = (a + b).scale(0.5);
             let d = (a - b).scale(0.5);
             let zo = self.tw[k].conj() * d;
             // Z[k] = Ze[k] + i·Zo[k]
-            *z = Complex::new(ze.re - zo.im, ze.im + zo.re);
+            Complex::new(ze.re - zo.im, ze.im + zo.re)
+        });
+        for ((pair, &zr), &zi) in out.chunks_exact_mut(2).zip(re).zip(im) {
+            pair[0] = 2.0 * zr;
+            pair[1] = 2.0 * zi;
         }
-        fft::transform(buf, 1.0);
-        for (j, z) in buf.iter().enumerate() {
-            out[2 * j] = 2.0 * z.re;
-            out[2 * j + 1] = 2.0 * z.im;
+    }
+}
+
+/// One radix-4 decimation-in-time butterfly. `a` comes from the block's
+/// first quarter; `b`, `c`, `d` are the second-half-even, first-half-odd
+/// and second-half-odd quarters' elements already multiplied by `w^k`,
+/// `w^2k` and `w^3k`. Returns the outputs for quarters 0..4 in order.
+/// `w^q` contributes a quarter turn, `−i` for analysis and `+i` with
+/// `INV`.
+#[inline(always)]
+fn butterfly4<const INV: bool>(a: Complex, b: Complex, c: Complex, d: Complex) -> [Complex; 4] {
+    let (t0, t1) = (a + c, a - c);
+    let (t2, t3) = (b + d, b - d);
+    let r = if INV { Complex::new(-t3.im, t3.re) } else { Complex::new(t3.im, -t3.re) };
+    [t0 + t2, t1 + r, t0 - t2, t1 - r]
+}
+
+/// Lane `l` of a two-lane radix-4 step: quarters `x = [re0, im0, …,
+/// re3, im3]` and stage twiddles `w = [re(w^k), im(w^k), …]`.
+#[inline(always)]
+fn radix4_lane<const INV: bool>(x: &[[f64; 2]; 8], w: &[[f64; 2]; 6], l: usize) -> [Complex; 4] {
+    let z = |j: usize| Complex::new(x[2 * j][l], x[2 * j + 1][l]);
+    // Synthesis conjugates the twiddles.
+    let tw = |j: usize| {
+        let t = Complex::new(w[2 * j][l], w[2 * j + 1][l]);
+        if INV {
+            t.conj()
+        } else {
+            t
         }
+    };
+    butterfly4::<INV>(z(0), z(2) * tw(0), z(1) * tw(1), z(3) * tw(2))
+}
+
+/// One radix-4 stage over one block of `4q` elements held as separate
+/// real (`re`) and imaginary (`im`) arrays: quarter `j` is
+/// `re[jq..(j+1)q]`. `tw` is the stage's `6q`-value table. Each step
+/// takes two consecutive `k` (`q` is even), loading every input before
+/// storing any output, so the two run as one pair of vector lanes.
+#[inline(always)]
+fn radix4_block<const INV: bool>(re: &mut [f64], im: &mut [f64], tw: &[f64]) {
+    let q = tw.len() / 6;
+    let (r0, rest) = re.split_at_mut(q);
+    let (r1, rest) = rest.split_at_mut(q);
+    let (r2, r3) = rest.split_at_mut(q);
+    let (i0, rest) = im.split_at_mut(q);
+    let (i1, rest) = rest.split_at_mut(q);
+    let (i2, i3) = rest.split_at_mut(q);
+    let n = q / 2;
+    fn pairs(s: &mut [f64], n: usize) -> &mut [[f64; 2]] {
+        &mut s.as_chunks_mut::<2>().0[..n]
+    }
+    let (r0, r1, r2, r3) = (pairs(r0, n), pairs(r1, n), pairs(r2, n), pairs(r3, n));
+    let (i0, i1, i2, i3) = (pairs(i0, n), pairs(i1, n), pairs(i2, n), pairs(i3, n));
+    let tw = &tw.as_chunks::<2>().0[..3 * q];
+    let (w1r, w1i, w2r) = (&tw[..n], &tw[n..2 * n], &tw[2 * n..3 * n]);
+    let (w2i, w3r, w3i) = (&tw[3 * n..4 * n], &tw[4 * n..5 * n], &tw[5 * n..6 * n]);
+    for k in 0..n {
+        let x = [r0[k], i0[k], r1[k], i1[k], r2[k], i2[k], r3[k], i3[k]];
+        let w = [w1r[k], w1i[k], w2r[k], w2i[k], w3r[k], w3i[k]];
+        let (y0, y1) = (radix4_lane::<INV>(&x, &w, 0), radix4_lane::<INV>(&x, &w, 1));
+        (r0[k], i0[k]) = ([y0[0].re, y1[0].re], [y0[0].im, y1[0].im]);
+        (r1[k], i1[k]) = ([y0[1].re, y1[1].re], [y0[1].im, y1[1].im]);
+        (r2[k], i2[k]) = ([y0[2].re, y1[2].re], [y0[2].im, y1[2].im]);
+        (r3[k], i3[k]) = ([y0[3].re, y1[3].re], [y0[3].im, y1[3].im]);
     }
 }
 
@@ -1070,7 +1270,7 @@ mod tests {
 
     #[test]
     fn irfft_round_trips() {
-        for (seed, n) in [(61u64, 2usize), (62, 16), (63, 256)] {
+        for (seed, n) in [(61u64, 2usize), (62, 16), (63, 256), (64, 512), (65, 1024)] {
             let x = vec_seeded(seed, n);
             let plan = RfftPlan::new(n);
             let mut scratch = RfftScratch::default();
@@ -1086,7 +1286,7 @@ mod tests {
 
     #[test]
     fn hfft_matches_oracle_synthesis() {
-        for (seed, n) in [(71u64, 4usize), (72, 32), (73, 128)] {
+        for (seed, n) in [(71u64, 4usize), (72, 32), (73, 128), (74, 512), (75, 1024)] {
             let plan = RfftPlan::new(n);
             let mut scratch = RfftScratch::default();
             let mut spec: Vec<Complex> = (0..plan.n_bins())
@@ -1115,6 +1315,52 @@ mod tests {
                     want += if k == 0 || k == last { term.re } else { 2.0 * term.re };
                 }
                 assert!((g - want).abs() <= 1e-9 * n as f64, "n={n} t={t}: {g} vs {want}");
+            }
+        }
+    }
+
+    /// Every power of two from 1 to 4096: both parities of `log₂(n/2)`,
+    /// so the radix-2 first stage and the pure radix-4 path both run.
+    fn every_size() -> impl Iterator<Item = usize> {
+        (0..=12).map(|b| 1usize << b)
+    }
+
+    #[test]
+    fn rfft_matches_oracle_at_every_size_and_length() {
+        for n in every_size() {
+            let plan = RfftPlan::new(n);
+            let mut scratch = RfftScratch::default();
+            let mut got = vec![Complex::ZERO; plan.n_bins()];
+            for len in [0, 1, n / 2 + 3, n].map(|len| len.min(n)) {
+                let x = vec_seeded(101 + (n * 7 + len) as u64, len);
+                plan.forward(&x, &mut scratch, &mut got);
+                let full = fft::rfft(&x, n);
+                let scale: f64 = x.iter().map(|v| v.abs()).sum::<f64>() + 1.0;
+                for (k, (g, w)) in got.iter().zip(&full).enumerate() {
+                    assert!(
+                        (g.re - w.re).abs() <= 1e-12 * n as f64 * scale
+                            && (g.im - w.im).abs() <= 1e-12 * n as f64 * scale,
+                        "n={n} len={len} bin {k}: {g:?} vs {w:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_power_is_bit_identical_to_forward_norm_sq() {
+        for n in every_size() {
+            let plan = RfftPlan::new(n);
+            let mut scratch = RfftScratch::default();
+            let mut spec = vec![Complex::ZERO; plan.n_bins()];
+            let mut power = vec![0.0; plan.n_bins()];
+            for len in [0, 1, n / 2 + 3, n].map(|len| len.min(n)) {
+                let x = vec_seeded(211 + (n * 7 + len) as u64, len);
+                plan.forward(&x, &mut scratch, &mut spec);
+                plan.forward_power(&x, &mut scratch, &mut power);
+                for (k, (p, z)) in power.iter().zip(&spec).enumerate() {
+                    assert_eq!(p.to_bits(), z.norm_sq().to_bits(), "n={n} len={len} bin {k}");
+                }
             }
         }
     }

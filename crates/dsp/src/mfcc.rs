@@ -150,7 +150,6 @@ pub struct MfccScratch {
 #[derive(Debug, Clone, Default)]
 struct FrameBufs {
     windowed: Vec<f64>,
-    spec: Vec<Complex>,
     power: Vec<f64>,
     mel: Vec<f64>,
     logmel: Vec<f64>,
@@ -245,40 +244,40 @@ impl MfccExtractor {
         (out, cache)
     }
 
-    /// One frame of the pipeline: window → real FFT → power → mel → log
-    /// → DCT. Leaves the frame's one-sided spectrum in `bufs.spec` and
-    /// its mel energies in `bufs.mel` for a cache-filling caller.
-    fn frame_forward(
-        &self,
-        emphasized: &[f64],
-        f: usize,
-        bufs: &mut FrameBufs,
-        out_row: &mut [f64],
-    ) {
+    /// The emphasized samples of frame `f`: up to `frame_len` of them,
+    /// fewer (possibly none) where the window runs past the signal end.
+    fn frame_slice<'e>(&self, emphasized: &'e [f64], f: usize) -> &'e [f64] {
         let cfg = &self.cfg;
         let start = (f * cfg.hop).min(emphasized.len());
         let end = (start + cfg.frame_len).min(emphasized.len());
-        self.frame_forward_slice(&emphasized[start..end], bufs, out_row);
+        &emphasized[start..end]
     }
 
-    /// [`frame_forward`](Self::frame_forward) on an explicit window slice:
-    /// `frame` holds the first `frame.len() <= frame_len` emphasized samples
-    /// of the window; the remainder is zero-padded. The streaming path calls
-    /// this directly against its carry-over ring.
-    fn frame_forward_slice(&self, frame: &[f64], bufs: &mut FrameBufs, out_row: &mut [f64]) {
-        let cfg = &self.cfg;
-        let n_bins = cfg.n_fft / 2 + 1;
-        bufs.windowed.resize(cfg.frame_len, 0.0);
-        for (t, w) in bufs.windowed.iter_mut().enumerate() {
+    /// Applies the analysis window to `frame`, zero-padded to `frame_len`.
+    fn window_into(&self, frame: &[f64], windowed: &mut Vec<f64>) {
+        windowed.resize(self.cfg.frame_len, 0.0);
+        for (t, w) in windowed.iter_mut().enumerate() {
             let s = if t < frame.len() { frame[t] } else { 0.0 };
             *w = s * self.window[t];
         }
-        bufs.spec.resize(n_bins, Complex::ZERO);
-        self.plan.forward(&bufs.windowed, &mut bufs.rfft, &mut bufs.spec);
-        bufs.power.resize(n_bins, 0.0);
-        for (p, z) in bufs.power.iter_mut().zip(&bufs.spec) {
-            *p = z.norm_sq();
-        }
+    }
+
+    /// One frame of the pipeline: window → power spectrum → mel → log →
+    /// DCT. `frame` holds the first `frame.len() <= frame_len` emphasized
+    /// samples of the window; the remainder is zero-padded. Every uncached
+    /// route (one-shot, `par_rows`, streaming) runs this, and the fused
+    /// [`RfftPlan::forward_power`] never writes the complex spectrum.
+    fn frame_forward_slice(&self, frame: &[f64], bufs: &mut FrameBufs, out_row: &mut [f64]) {
+        self.window_into(frame, &mut bufs.windowed);
+        bufs.power.resize(self.cfg.n_fft / 2 + 1, 0.0);
+        self.plan.forward_power(&bufs.windowed, &mut bufs.rfft, &mut bufs.power);
+        self.power_to_cepstra(bufs, out_row);
+    }
+
+    /// The tail of a frame: `bufs.power` → mel → log → DCT into
+    /// `out_row`, leaving the mel energies in `bufs.mel`.
+    fn power_to_cepstra(&self, bufs: &mut FrameBufs, out_row: &mut [f64]) {
+        let cfg = &self.cfg;
         bufs.mel.resize(cfg.n_mels, 0.0);
         self.filterbank.apply_into(&bufs.power, &mut bufs.mel);
         bufs.logmel.resize(cfg.n_mels, 0.0);
@@ -316,9 +315,18 @@ impl MfccExtractor {
             c.spectra.resize(n_frames * n_bins, Complex::ZERO);
             c.mels.reset(n_frames, cfg.n_mels);
             let bufs = &mut scratch.bufs;
+            bufs.power.resize(n_bins, 0.0);
             for f in 0..n_frames {
-                self.frame_forward(&scratch.emphasized, f, bufs, out.row_mut(f));
-                c.spectra[f * n_bins..(f + 1) * n_bins].copy_from_slice(&bufs.spec);
+                // The cache keeps the complex spectrum, so this route runs
+                // `forward` and squares it: the same bits `forward_power`
+                // gives the uncached routes.
+                self.window_into(self.frame_slice(&scratch.emphasized, f), &mut bufs.windowed);
+                let spec = &mut c.spectra[f * n_bins..(f + 1) * n_bins];
+                self.plan.forward(&bufs.windowed, &mut bufs.rfft, spec);
+                for (p, z) in bufs.power.iter_mut().zip(spec.iter()) {
+                    *p = z.norm_sq();
+                }
+                self.power_to_cepstra(bufs, out.row_mut(f));
                 c.mels.row_mut(f).copy_from_slice(&bufs.mel);
             }
         } else if kernel::threads() > 1 && n_frames > 1 {
@@ -330,7 +338,7 @@ impl MfccExtractor {
                 cfg.n_cepstra,
                 FrameBufs::default,
                 |bufs, f, row| {
-                    self.frame_forward(emphasized, f, bufs, row);
+                    self.frame_forward_slice(self.frame_slice(emphasized, f), bufs, row);
                 },
             );
         } else {
@@ -709,18 +717,7 @@ mod tests {
         for (trial, &n) in [0usize, 1, 31, 64, 65, 200, 411].iter().enumerate() {
             let sig = pseudo_signal(n);
             let reference = ex.extract(&sig);
-            // Deterministic xorshift chunk lengths in 1..=47, fresh per trial.
-            let mut seed = 0x9E37_79B9u64.wrapping_add(trial as u64 * 0x517C_C1B7);
-            let mut chunks = Vec::new();
-            let mut covered = 0;
-            while covered < n {
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                let len = 1 + (seed % 47) as usize;
-                chunks.push(len);
-                covered += len;
-            }
+            let chunks = seeded_chunks(0x9E37_79B9u64.wrapping_add(trial as u64 * 0x517C_C1B7), n);
             assert_eq!(stream_in_chunks(&ex, &sig, &chunks), reference, "n={n} trial={trial}");
         }
     }
@@ -756,6 +753,82 @@ mod tests {
             }
             st.finish(&ex, &mut out);
             assert_eq!(out, ex.extract(sig));
+        }
+    }
+
+    /// The bit patterns of `m`'s entries, so NaN compares equal to itself.
+    fn bits(m: &FeatureMatrix) -> (usize, Vec<u64>) {
+        (m.n_frames(), m.as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Deterministic xorshift chunk lengths in 1..=47 covering `n` samples.
+    fn seeded_chunks(mut seed: u64, n: usize) -> Vec<usize> {
+        let mut chunks = Vec::new();
+        let mut covered = 0;
+        while covered < n {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let len = 1 + (seed % 47) as usize;
+            chunks.push(len);
+            covered += len;
+        }
+        chunks
+    }
+
+    #[test]
+    fn cached_route_matches_uncached_bitwise() {
+        // `extract_with_cache` squares the stored spectrum while the
+        // uncached routes take the fused power entry; both must agree.
+        for cfg in [small_cfg(), MfccConfig::default()] {
+            let ex = MfccExtractor::new(cfg);
+            for n in [0usize, 1, 63, 401, 1_000] {
+                let sig = pseudo_signal(n);
+                let mut scratch = MfccScratch::default();
+                let mut uncached = FeatureMatrix::default();
+                ex.extract_into(&sig, &mut scratch, &mut uncached);
+                let (cached, _) = ex.extract_with_cache(&sig);
+                assert_eq!(bits(&cached), bits(&uncached), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_and_non_finite_inputs_stream_like_one_shot() {
+        for cfg in [small_cfg(), MfccConfig::default()] {
+            let ex = MfccExtractor::new(cfg);
+            let fl = ex.config().frame_len;
+            let mut spikes = pseudo_signal(3 * fl);
+            spikes[fl / 2] = f64::INFINITY;
+            spikes[fl + 7] = f64::NEG_INFINITY;
+            let subnormal: Vec<f64> = (0..2 * fl + 3)
+                .map(|i| {
+                    let v = f64::from_bits(1 + (i as u64 * 0x9E37_79B9) % (1 << 52));
+                    if i % 2 == 1 {
+                        -v
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let inputs = [
+                ("empty", Vec::new()),
+                ("one sample", vec![0.25]),
+                ("shorter than a frame", pseudo_signal(fl - 1)),
+                ("all NaN", vec![f64::NAN; 2 * fl + 5]),
+                ("infinite spikes", spikes),
+                ("subnormal only", subnormal),
+            ];
+            for (name, sig) in &inputs {
+                let mut scratch = MfccScratch::default();
+                let mut one_shot = FeatureMatrix::default();
+                ex.extract_into(sig, &mut scratch, &mut one_shot);
+                assert_eq!(one_shot.n_frames(), ex.n_frames_for(sig.len()), "{name}");
+                for seed in [0x5EED_0001u64, 0x5EED_0002] {
+                    let streamed = stream_in_chunks(&ex, sig, &seeded_chunks(seed, sig.len()));
+                    assert_eq!(bits(&streamed), bits(&one_shot), "{name}, chunk seed {seed:x}");
+                }
+            }
         }
     }
 

@@ -5,7 +5,6 @@
 //! for inspection, visualisation and spectral analysis (the MFCC pipeline
 //! in [`crate::mfcc`] embeds the same computation).
 
-use crate::complex::Complex;
 use crate::frame::frames;
 use crate::kernel::{RfftPlan, RfftScratch};
 use crate::window::Window;
@@ -90,14 +89,12 @@ pub fn spectrogram(
     let plan = RfftPlan::new(n_fft);
     let mut scratch = RfftScratch::default();
     let mut windowed = vec![0.0; frame_len];
-    let mut spec = vec![Complex::ZERO; n_bins];
-    let mut data = Vec::with_capacity(framed.n_rows() * n_bins);
-    for frame in framed.rows() {
+    let mut data = vec![0.0; framed.n_rows() * n_bins];
+    for (frame, power) in framed.rows().zip(data.chunks_exact_mut(n_bins)) {
         for ((w, &s), &c) in windowed.iter_mut().zip(frame).zip(&coeffs) {
             *w = s * c;
         }
-        plan.forward(&windowed, &mut scratch, &mut spec);
-        data.extend(spec.iter().map(|z| z.norm_sq()));
+        plan.forward_power(&windowed, &mut scratch, power);
     }
     Spectrogram {
         n_frames: framed.n_rows(),
